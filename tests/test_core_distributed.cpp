@@ -271,7 +271,7 @@ TEST(Scheduler, SharedFactorizationsGiveSameAnswer) {
   ASSERT_EQ(a.sample_count(), b.sample_count());
   for (std::size_t i = 0; i < a.sample_count(); ++i)
     for (std::size_t j = 0; j < a.state(i).size(); ++j)
-      EXPECT_NEAR(a.state(i)[j], b.state(i)[j], 1e-12);
+      EXPECT_EQ(a.state(i)[j], b.state(i)[j]);
   EXPECT_EQ(ra.group_count, rb.group_count);
 }
 
