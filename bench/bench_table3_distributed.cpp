@@ -6,8 +6,12 @@
 /// substitution pairs; distributed MATEX decomposes the sources by bump
 /// shape, each node simulates its group against its own LTS, and the
 /// scheduler superposes. t1000/tr_matex compare the pure transient parts;
-/// tt_total/tr_total the full runs. Errors are measured against a golden
-/// TR run at h = 1 ps (standing in for the benchmark-provided waveforms).
+/// tt_total/tr_total the full runs. tr_total is the paper's per-slave
+/// model: DC + the slowest node's transient + one LU(C + gamma*G) setup
+/// (the nodes share that one factorization in this process; on a cluster
+/// each slave factorizes its own copy in the same time) + superposition.
+/// Errors are measured against a golden TR run at h = 1 ps (standing in
+/// for the benchmark-provided waveforms).
 ///
 /// Expected shape (paper): ~13X transient speedup, ~7X total, max error
 /// ~1e-4 V, group counts bounded by the distinct bump shapes.

@@ -61,7 +61,11 @@ MatexCircuitSolver::MatexCircuitSolver(const circuit::MnaSystem& mna,
   // Cache lookups are O(nnz) content hashes; fingerprint each matrix
   // once and reuse for the operator and LU(G) lookups.
   std::uint64_t fp_g = 0;
-  if (factor_cache) {
+  if (options_.kind == krylov::KrylovKind::kInverted && g_factors_) {
+    // I-MATEX's operator is LU(G): adopt the one handed in.
+    op_ = std::make_unique<krylov::CircuitOperator>(
+        *c_for_op, mna.g(), options_.kind, options_.gamma, g_factors_);
+  } else if (factor_cache) {
     fp_g = runtime::fingerprint(mna.g());
     const std::uint64_t fp_c =
         options_.kind == krylov::KrylovKind::kInverted
@@ -99,7 +103,7 @@ MatexCircuitSolver::MatexCircuitSolver(const circuit::MnaSystem& mna,
 solver::TransientStats MatexCircuitSolver::run(
     std::span<const double> x0, double t_start, double t_end,
     const InputView& input, std::span<const double> eval_times,
-    const solver::Observer& observer) {
+    const solver::Observer& observer) const {
   const char* kind_name =
       options_.kind == krylov::KrylovKind::kRational   ? "rmatex"
       : options_.kind == krylov::KrylovKind::kInverted ? "imatex"

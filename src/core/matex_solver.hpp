@@ -89,7 +89,9 @@ class MatexCircuitSolver {
   /// \param options solver options
   /// \param g_factors optional shared LU(G) (from DC analysis); when null
   ///        the solver factorizes G itself (except for I-MATEX, where the
-  ///        operator factorization is LU(G) already and is reused).
+  ///        operator factorization is LU(G) already and is reused). For
+  ///        I-MATEX a given LU(G) also backs the operator, so the solver
+  ///        factorizes nothing.
   /// \param factor_cache optional runtime factorization cache (must
   ///        outlive the solver). When set, the operator LU and LU(G) are
   ///        looked up by matrix content before being computed, so nodes,
@@ -108,10 +110,12 @@ class MatexCircuitSolver {
   ///        observer is invoked (the solver also steps through every LTS
   ///        internally). Typically the output grid, or GTS for snapshot
   ///        write-back.
+  /// Read-only on the solver: concurrent runs share its factorizations
+  /// (the distributed scheduler runs every node against one solver).
   solver::TransientStats run(std::span<const double> x0, double t_start,
                              double t_end, const InputView& input,
                              std::span<const double> eval_times,
-                             const solver::Observer& observer);
+                             const solver::Observer& observer) const;
 
   /// Number of factorizations performed at construction (the serial cost
   /// the paper excludes from "pure transient computing"). With a factor

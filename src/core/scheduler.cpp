@@ -74,15 +74,13 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
   // Superposition accumulator, seeded with the DC (task-0) contribution.
   std::vector<std::vector<double>> accum(t_count, dc.x);
 
-  // Shared-factorization mode constructs one solver up front; the
-  // paper-faithful distributed mode lets every node factorize locally
-  // (counted inside that node's wall time, unless the cache absorbs it).
-  std::unique_ptr<MatexCircuitSolver> shared_solver;
-  if (options.share_factorizations) {
-    shared_solver = std::make_unique<MatexCircuitSolver>(
-        mna, solver_options, dc.g_factors, options.factor_cache);
-    result.factor_cache_hits += shared_solver->setup_cache_hits();
-  }
+  // Every node factorizes the same operator matrix once at t = 0 (Alg. 2),
+  // so one read-only solver serves them all: run() is safe to call
+  // concurrently. Its setup is counted once; each node's total time still
+  // includes it, the per-slave cost of Table 3.
+  const MatexCircuitSolver node_solver(mna, solver_options, dc.g_factors,
+                                       options.factor_cache);
+  result.factor_cache_hits = node_solver.setup_cache_hits();
 
   const std::vector<double> zero_state(n, 0.0);
 
@@ -142,19 +140,8 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
     const GroupInput input(mna, group.members, options.t_start);
     std::vector<double> node_buffer(t_count * n);
 
-    solver::Stopwatch node_clock;
-    MatexCircuitSolver* node_solver = shared_solver.get();
-    std::unique_ptr<MatexCircuitSolver> local;
-    if (!node_solver) {
-      local = std::make_unique<MatexCircuitSolver>(
-          mna, solver_options,
-          options.share_g_factors ? dc.g_factors : nullptr,
-          options.factor_cache);
-      node_solver = local.get();
-    }
-
     std::size_t emit_idx = 0;
-    auto stats = node_solver->run(
+    auto stats = node_solver.run(
         zero_state, options.t_start, options.t_end, input,
         options.output_times,
         [&](double /*t*/, std::span<const double> x) {
@@ -164,25 +151,20 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
           ++emit_idx;
         });
     MATEX_CHECK(emit_idx == t_count, "node did not emit every output time");
-    const double node_total = node_clock.seconds();
 
     NodeReport report;
     report.group_index = gi;
     report.source_count = group.members.size();
     report.lts_size =
         input.transition_spots(options.t_start, options.t_end).size();
-    report.cache_hits = local ? local->setup_cache_hits() : 0;
     report.stats = stats;
-    node_span.arg("lts", report.lts_size)
-        .arg("cache_hits", report.cache_hits);
-    if (!options.share_factorizations) report.stats.total_seconds = node_total;
+    node_span.arg("lts", report.lts_size);
 
     const core::MutexLock lock(ms.mutex);
     result.max_node_transient_seconds = std::max(
         result.max_node_transient_seconds, stats.transient_seconds);
     result.max_node_total_seconds =
         std::max(result.max_node_total_seconds, report.stats.total_seconds);
-    result.factor_cache_hits += report.cache_hits;
     result.aggregate.merge(report.stats);
     result.nodes[gi] = std::move(report);
     ms.staged.emplace(gi, std::move(node_buffer));
@@ -240,6 +222,8 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
                 "superposition did not merge every node");
     result.superposition_seconds = ms.superposition_seconds;
   }
+  // Every node reports the shared setup as its own; the run paid it once.
+  result.aggregate.factorizations = node_solver.setup_factorizations();
 
   if (observer)
     for (std::size_t ti = 0; ti < t_count; ++ti)

@@ -56,7 +56,6 @@ void write_node_reports(solver::JsonWriter& w,
     w.key("group").value(node.group_index);
     w.key("sources").value(node.source_count);
     w.key("lts_size").value(node.lts_size);
-    w.key("cache_hits").value(node.cache_hits);
     write_transient_stats(w, node.stats);
     w.end_object();
   }

@@ -60,8 +60,10 @@ std::uint64_t scenario_fingerprint(const ScenarioSpec& spec,
   fnv_double(h, s.t_end);
   fnv_u64(h, s.output_times.size());
   for (const double t : s.output_times) fnv_double(h, t);
-  fnv_u64(h, static_cast<std::uint64_t>(s.share_factorizations));
-  fnv_u64(h, static_cast<std::uint64_t>(s.share_g_factors));
+  // The values every scenario held for two retired scheduler flags (per-
+  // node vs shared factorizations): existing journals and stores stay valid.
+  fnv_u64(h, 0);
+  fnv_u64(h, 1);
   // Decomposition shapes the group partition and with it the (fixed)
   // superposition order, so it is part of the bitwise identity.
   fnv_u64(h, static_cast<std::uint64_t>(s.decomposition.max_groups));

@@ -221,6 +221,9 @@ void WaveformStoreWriter::append(
     fnv_bytes(sum, c.data(), c.size() * 8);
 
   std::vector<unsigned char> header;
+  // Sized up front: the 48-byte chunk header then needs no reallocation,
+  // and GCC 12 stops flagging put()'s resize with -Wstringop-overflow.
+  header.reserve(48);
   put<std::uint32_t>(header, kChunkMagic);
   put<std::uint32_t>(header, scenario_index);
   put<std::uint64_t>(header, fingerprint);

@@ -255,7 +255,10 @@ TEST(Scheduler, SuperpositionMatchesMonolithicReference) {
   }
 }
 
-TEST(Scheduler, SharedFactorizationsGiveSameAnswer) {
+TEST(Scheduler, OneSetupPerRun) {
+  // All nodes run against one solver: the run factorizes LU(C + gamma*G)
+  // once (LU(G) comes from the DC point), whatever the node count, and
+  // the answer does not depend on how many nodes run at once.
   PdnFixture f;
   SchedulerOptions opt;
   opt.t_end = 2.0;
@@ -265,14 +268,18 @@ TEST(Scheduler, SharedFactorizationsGiveSameAnswer) {
 
   StateRecorder a, b;
   const auto ra = run_distributed_matex(*f.mna, opt, a.observer());
-  opt.share_factorizations = true;
+  opt.parallelism = 3;
   const auto rb = run_distributed_matex(*f.mna, opt, b.observer());
 
+  for (const auto* r : {&ra, &rb}) {
+    EXPECT_EQ(r->group_count, 2u);
+    EXPECT_EQ(r->aggregate.factorizations, 1);
+    EXPECT_EQ(r->factor_cache_hits, 0);
+  }
   ASSERT_EQ(a.sample_count(), b.sample_count());
   for (std::size_t i = 0; i < a.sample_count(); ++i)
     for (std::size_t j = 0; j < a.state(i).size(); ++j)
       EXPECT_EQ(a.state(i)[j], b.state(i)[j]);
-  EXPECT_EQ(ra.group_count, rb.group_count);
 }
 
 TEST(Scheduler, NodeReportsDescribeSubtasks) {
@@ -394,7 +401,6 @@ TEST(Scheduler, ParallelWithSharedFactorizations) {
   opt.solver.gamma = 0.05;
   opt.solver.tolerance = 1e-10;
   opt.output_times = uniform_grid(0.0, 2.0, 0.5);
-  opt.share_factorizations = true;
   opt.parallelism = 3;  // concurrent solves against shared factors
   StateRecorder rec;
   const auto result = run_distributed_matex(*f.mna, opt, rec.observer());

@@ -25,6 +25,7 @@
 #include "runtime/checkpoint.hpp"
 #include "runtime/shard.hpp"
 #include "solver/fixed_step.hpp"
+#include "solver/json_writer.hpp"
 
 #ifdef __unix__
 #include <sys/wait.h>
@@ -249,6 +250,21 @@ TEST(ShardedCampaignCli, KilledWorkersResumeBitwiseIdentical) {
   const std::string ref = slurp("shardkill_ref.store");
   ASSERT_FALSE(ref.empty());
   EXPECT_EQ(slurp("shardkill.store"), ref);
+}
+
+TEST(DistributedCli, PerfJsonWritesDcSecondsOnce) {
+  // --method dist takes its DC point from the scheduler; the perf JSON
+  // must carry that one time once, not a second CLI-side DC as well.
+  ASSERT_EQ(run_cli("--method dist --threads 2 --perf-json dist_perf.json"
+                    " --out dist_perf.tbl",
+                    "dist_perf.log"),
+            0);
+  const solver::JsonValue doc = solver::parse_json_file("dist_perf.json");
+  int dc_keys = 0;
+  for (const auto& [key, value] : doc.object) dc_keys += key == "dc_seconds";
+  EXPECT_EQ(dc_keys, 1);
+  EXPECT_GT(doc.at("dc_seconds").as_number(), 0.0);
+  EXPECT_EQ(doc.at("factorizations").as_number(), 1.0);
 }
 
 #else
