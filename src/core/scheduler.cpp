@@ -74,13 +74,10 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
   // Superposition accumulator, seeded with the DC (task-0) contribution.
   std::vector<std::vector<double>> accum(t_count, dc.x);
 
-  // Every node factorizes the same operator matrix once at t = 0 (Alg. 2),
-  // so one read-only solver serves them all: run() is safe to call
-  // concurrently. Its setup is counted once; each node's total time still
-  // includes it, the per-slave cost of Table 3. It lives on the heap: every
-  // node reads it each step, and as a local of this frame it cost 15% more
-  // matex.run self time on a pooled campaign (4-vCPU Xeon), the mark of
-  // false sharing with stack slots written while the nodes run.
+  // Every node would factorize the same matrices once at t = 0 (Alg. 2), so
+  // one read-only solver serves them all (run() is const). On the heap: as a
+  // local of this frame it cost 15% more matex.run self time on a pooled
+  // campaign (4-vCPU Xeon), a sign of false sharing with stack writes.
   const auto node_solver = std::make_unique<const MatexCircuitSolver>(
       mna, solver_options, dc.g_factors, options.factor_cache);
   result.factor_cache_hits = node_solver->setup_cache_hits();
