@@ -788,7 +788,9 @@ int main(int argc, char** argv) try {
     opt.output_times = grid;
     opt.cancel = &run_cancel;
     if (cli.threads >= 0) opt.parallelism = cli.threads;
-    dist_result = core::run_distributed_matex(mna, opt, observer);
+    opt.probes = recorder.probe_set();
+    dist_result =
+        core::run_distributed_matex(mna, opt, recorder.probe_observer());
     std::fprintf(stderr,
                  "distributed: %zu nodes on %d workers, "
                  "max node transient %.4f s\n",
@@ -813,7 +815,8 @@ int main(int argc, char** argv) try {
     }
     core::MatexCircuitSolver solver(mna, opt, dc.g_factors);
     const core::FullInput input(mna);
-    stats = solver.run(dc.x, 0.0, tstop, input, grid, observer);
+    stats = solver.run(dc.x, 0.0, tstop, input, grid,
+                       recorder.probe_observer(), recorder.probe_set());
   }
 
   std::fprintf(stderr,

@@ -50,6 +50,12 @@ MatexCircuitSolver::MatexCircuitSolver(const circuit::MnaSystem& mna,
   MATEX_CHECK(options_.max_dim >= 1, "max_dim must be >= 1");
   MATEX_CHECK(options_.stall_extension >= 1.0,
               "stall_extension must be >= 1");
+  // Eq. 5/6 integrate piecewise-linear inputs exactly; a smooth input
+  // would be sampled at the LTS only and silently lose accuracy.
+  for (la::index_t k = 0; k < mna.input_count(); ++k)
+    MATEX_CHECK(mna.input_waveform(k).is_piecewise_linear(),
+                "MATEX needs piecewise-linear inputs; run SIN sources "
+                "through Waveform::linearized() first");
   solver::Stopwatch sw;
   const la::CscMatrix* c_for_op = &mna.c();
   if (options_.kind == krylov::KrylovKind::kStandard &&
@@ -103,7 +109,7 @@ MatexCircuitSolver::MatexCircuitSolver(const circuit::MnaSystem& mna,
 solver::TransientStats MatexCircuitSolver::run(
     std::span<const double> x0, double t_start, double t_end,
     const InputView& input, std::span<const double> eval_times,
-    const solver::Observer& observer) const {
+    const solver::Observer& observer, const solver::ProbeSet& probes) const {
   const char* kind_name =
       options_.kind == krylov::KrylovKind::kRational   ? "rmatex"
       : options_.kind == krylov::KrylovKind::kInverted ? "imatex"
@@ -118,6 +124,7 @@ solver::TransientStats MatexCircuitSolver::run(
   MATEX_CHECK(t_end > t_start, "t_end must exceed t_start");
   const std::size_t n = static_cast<std::size_t>(mna_->dimension());
   MATEX_CHECK(x0.size() == n, "initial state dimension mismatch");
+  probes.check(n);
   MATEX_CHECK(input.count() == mna_->input_count(),
               "input view does not match the MNA system");
   MATEX_CHECK(std::is_sorted(eval_times.begin(), eval_times.end()),
@@ -173,12 +180,24 @@ solver::TransientStats MatexCircuitSolver::run(
   bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
 
   std::vector<double> x(x0.begin(), x0.end());
+  // Observed values: the full state, or the probe rows in probe order.
+  const std::vector<la::index_t>& rows = probes.indices();
+  std::vector<double> yp(rows.size());
+  const auto observe = [&](double t, std::span<const double> state) {
+    if (probes.all()) {
+      observer(t, state);
+      return;
+    }
+    for (std::size_t p = 0; p < rows.size(); ++p)
+      yp[p] = state[static_cast<std::size_t>(rows[p])];
+    observer(t, yp);
+  };
   std::size_t eval_idx = 0;
   const auto emit_at_or_before = [&](double t_bound,
                                      std::span<const double> state) {
     while (eval_idx < eval_times.size() &&
            eval_times[eval_idx] <= t_bound + t_eps) {
-      if (observer) observer(eval_times[eval_idx], state);
+      if (observer) observe(eval_times[eval_idx], state);
       ++eval_idx;
     }
   };
@@ -186,7 +205,8 @@ solver::TransientStats MatexCircuitSolver::run(
 
   const std::size_t nu = static_cast<std::size_t>(input.count());
   std::vector<double> u(nu), du(nu);
-  std::vector<double> tmp(n), w1(n), ws(n), w2(n), v(n), y(n);
+  std::vector<double> tmp(n), w1(n), ws(n), w2(n), v(n);
+  std::vector<double> y(probes.all() ? n : 0);  // full interior states
   std::vector<double> lu_work(n);
   // Sparse-RHS machinery for the particular-solution solves: B u and
   // B u' are localized (a handful of current-source rows per node in the
@@ -281,24 +301,38 @@ solver::TransientStats MatexCircuitSolver::run(
         dim_hist->record(static_cast<double>(space.dim()));
     }
 
-    // --- evaluate by reuse at every point inside the segment
-    // (Alg. 2 line 11) and at the segment end.
-    const auto eval_at = [&](double te, std::span<double> out) {
-      const double ha = te - l;
+    // --- evaluate by reuse at every point inside the segment (Alg. 2
+    // line 11). Only the observed rows are computed there: the full state
+    // is needed only at the segment end, where the next subspace starts.
+    // Row-restricted evaluation performs each row's operations in the
+    // full evaluation's order, so the observed values are bitwise equal.
+    const auto eval_full = [&](double ha, std::span<double> out) {
       space.evaluate(ha, out);
       for (std::size_t i = 0; i < n; ++i)
         out[i] += w1[i] + ha * ws[i] - w2[i];
-      ++stats.steps;
     };
     while (eval_idx < eval_times.size() &&
            eval_times[eval_idx] < r - t_eps) {
       const double te = eval_times[eval_idx];
-      eval_at(te, y);
-      if (observer) observer(te, y);
+      const double ha = te - l;
+      if (!observer) {
+        // Unobserved point: counted as a step, nothing to compute.
+      } else if (probes.all()) {
+        eval_full(ha, y);
+        observer(te, y);
+      } else {
+        space.evaluate_rows(ha, rows, yp);
+        for (std::size_t p = 0; p < rows.size(); ++p) {
+          const auto i = static_cast<std::size_t>(rows[p]);
+          yp[p] += w1[i] + ha * ws[i] - w2[i];
+        }
+        observer(te, yp);
+      }
+      ++stats.steps;
       ++eval_idx;
     }
-    eval_at(r, y);
-    x = y;
+    eval_full(h_seg, x);
+    ++stats.steps;
     emit_at_or_before(r, x);
   }
 

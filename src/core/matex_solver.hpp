@@ -85,7 +85,9 @@ struct MatexOptions {
 class MatexCircuitSolver {
  public:
   /// Performs the once-per-simulation factorizations.
-  /// \param mna assembled system (must outlive the solver)
+  /// \param mna assembled system (must outlive the solver). Every input
+  ///        waveform must be piecewise linear (throws InvalidArgument
+  ///        otherwise); SIN sources go through Waveform::linearized().
   /// \param options solver options
   /// \param g_factors optional shared LU(G) (from DC analysis); when null
   ///        the solver factorizes G itself (except for I-MATEX, where the
@@ -110,12 +112,21 @@ class MatexCircuitSolver {
   ///        observer is invoked (the solver also steps through every LTS
   ///        internally). Typically the output grid, or GTS for snapshot
   ///        write-back.
+  /// \param probes what the observer receives: the full state (the
+  ///        default), or the listed unknowns' values in list order. The
+  ///        full state is still computed at every segment end, where the
+  ///        next Krylov subspace starts; between segment ends only the
+  ///        listed rows are evaluated. The values are bitwise equal to the
+  ///        same rows of a full-state run. An index outside [0, n) throws
+  ///        InvalidArgument. With a null observer the output points
+  ///        between segment ends are counted as steps but not evaluated.
   /// Read-only on the solver: concurrent runs share its factorizations
   /// (the distributed scheduler runs every node against one solver).
   solver::TransientStats run(std::span<const double> x0, double t_start,
                              double t_end, const InputView& input,
                              std::span<const double> eval_times,
-                             const solver::Observer& observer) const;
+                             const solver::Observer& observer,
+                             const solver::ProbeSet& probes = {}) const;
 
   /// Number of factorizations performed at construction (the serial cost
   /// the paper excludes from "pure transient computing"). With a factor

@@ -32,6 +32,10 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
   DistributedResult result;
   const std::size_t n = static_cast<std::size_t>(mna.dimension());
   const std::size_t t_count = options.output_times.size();
+  options.probes.check(n);
+  // Values per output time: node buffers and the accumulator hold only
+  // the observed rows, and nothing at all without an observer.
+  const std::size_t width = observer ? options.probes.width(n) : 0;
 
   // Node solvers poll the run's token at step granularity; inherit an
   // already-set MatexOptions.cancel when the caller threaded one directly.
@@ -71,8 +75,20 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
   result.group_count = decomp.groups.size();
   result.nodes.resize(decomp.groups.size());
 
-  // Superposition accumulator, seeded with the DC (task-0) contribution.
-  std::vector<std::vector<double>> accum(t_count, dc.x);
+  // Superposition accumulator (t_count x width, row-major), seeded with
+  // the DC (task-0) contribution at the observed rows.
+  std::vector<double> accum;
+  if (observer) {
+    std::vector<double> seed = dc.x;
+    if (!options.probes.all()) {
+      seed.clear();
+      for (const la::index_t i : options.probes.indices())
+        seed.push_back(dc.x[static_cast<std::size_t>(i)]);
+    }
+    accum.reserve(t_count * width);
+    for (std::size_t ti = 0; ti < t_count; ++ti)
+      accum.insert(accum.end(), seed.begin(), seed.end());
+  }
 
   // Every node would factorize the same matrices once at t = 0 (Alg. 2), so
   // one read-only solver serves them all (run() is const). On the heap: as a
@@ -112,7 +128,8 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
   // buffer can only be staged ahead of the merge frontier while the
   // frontier's own -- earlier-started -- node is still running: live
   // buffers are bounded by the number of executing threads, not by the
-  // group count.
+  // group count. Each buffer is t_count x |probes| doubles, so the live
+  // bytes are threads x t_count x |probes| x 8 whatever the deck size.
   struct MergeState {
     core::Mutex mutex;
     std::map<std::size_t, std::vector<double>> staged MATEX_GUARDED_BY(mutex);
@@ -138,19 +155,22 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
                         group.members.size(), "scenario",
                         options.trace_label);
     const GroupInput input(mna, group.members, options.t_start);
-    std::vector<double> node_buffer(t_count * n);
+    std::vector<double> node_buffer(t_count * width);
 
     std::size_t emit_idx = 0;
-    auto stats = node_solver->run(
-        zero_state, options.t_start, options.t_end, input,
-        options.output_times,
-        [&](double /*t*/, std::span<const double> x) {
-          std::copy(x.begin(), x.end(),
-                    node_buffer.begin() +
-                        static_cast<std::ptrdiff_t>(emit_idx * n));
-          ++emit_idx;
-        });
-    MATEX_CHECK(emit_idx == t_count, "node did not emit every output time");
+    solver::Observer write_back;
+    if (observer)
+      write_back = [&](double /*t*/, std::span<const double> x) {
+        std::copy(x.begin(), x.end(),
+                  node_buffer.begin() +
+                      static_cast<std::ptrdiff_t>(emit_idx * width));
+        ++emit_idx;
+      };
+    auto stats = node_solver->run(zero_state, options.t_start, options.t_end,
+                                  input, options.output_times, write_back,
+                                  options.probes);
+    MATEX_CHECK(!observer || emit_idx == t_count,
+                "node did not emit every output time");
 
     NodeReport report;
     report.group_index = gi;
@@ -167,6 +187,7 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
         std::max(result.max_node_total_seconds, report.stats.total_seconds);
     result.aggregate.merge(report.stats);
     result.nodes[gi] = std::move(report);
+    if (!observer) return;  // nothing observed: nothing to superpose
     ms.staged.emplace(gi, std::move(node_buffer));
     // Drain every staged buffer that now sits at the merge frontier
     // (this node's own, plus any successors parked behind it).
@@ -175,11 +196,7 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
                  options.trace_label);
       solver::Stopwatch sup_clock;
       const std::vector<double>& buffer = ms.staged.begin()->second;
-      for (std::size_t ti = 0; ti < t_count; ++ti) {
-        double* row = accum[ti].data();
-        const double* src = buffer.data() + ti * n;
-        for (std::size_t i = 0; i < n; ++i) row[i] += src[i];
-      }
+      for (std::size_t i = 0; i < accum.size(); ++i) accum[i] += buffer[i];
       ms.superposition_seconds += sup_clock.seconds();
       ms.staged.erase(ms.staged.begin());
       ++ms.merge_next;
@@ -218,7 +235,7 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
   }
   {
     const core::MutexLock lock(ms.mutex);
-    MATEX_CHECK(ms.merge_next == group_count,
+    MATEX_CHECK(!observer || ms.merge_next == group_count,
                 "superposition did not merge every node");
     result.superposition_seconds = ms.superposition_seconds;
   }
@@ -227,7 +244,8 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
 
   if (observer)
     for (std::size_t ti = 0; ti < t_count; ++ti)
-      observer(options.output_times[ti], accum[ti]);
+      observer(options.output_times[ti],
+               std::span<const double>(accum).subspan(ti * width, width));
   return result;
 }
 

@@ -28,6 +28,12 @@
 /// group-index order no matter which worker finishes first, so the output
 /// is bit-identical across parallelism settings, with or without a shared
 /// pool, and with or without a factorization cache.
+///
+/// Only observed rows are written back and superposed: each node buffer
+/// and the accumulator hold t_count x |probes| values (SchedulerOptions::
+/// probes), and nothing at all when the caller passes no observer. A node
+/// still computes its full state at each of its segment ends, where the
+/// next Krylov subspace starts.
 #pragma once
 
 #include <memory>
@@ -56,6 +62,12 @@ struct SchedulerOptions {
   /// Output grid: the scheduler's observer receives the summed solution at
   /// these times. Must be sorted.
   std::vector<double> output_times;
+  /// Unknowns the observer receives, in this order (default: every
+  /// unknown). Node buffers and the superposition accumulator are sized
+  /// t_count x |probes|; the observed values are bitwise equal to the
+  /// same rows of an all-unknowns run. Out-of-range indices throw
+  /// InvalidArgument.
+  solver::ProbeSet probes;
   /// Number of worker threads executing node subtasks. 1 (default) runs
   /// nodes sequentially, which keeps per-node wall times meaningful on a
   /// machine with fewer cores than nodes (the paper's max-over-nodes
@@ -109,7 +121,8 @@ struct DistributedResult {
   /// Max per-node total time: transient time plus the one shared setup
   /// (Table 3's per-slave cost, where each node factorizes once).
   double max_node_total_seconds = 0.0;
-  /// Scheduler-side superposition cost.
+  /// Scheduler-side superposition cost: summing t_count x |probes| values
+  /// per node. 0 without an observer, when nothing is superposed.
   double superposition_seconds = 0.0;
   /// DC analysis cost (shared preprocessing).
   double dc_seconds = 0.0;
@@ -126,7 +139,9 @@ struct DistributedResult {
 
 /// Runs distributed MATEX: DC analysis, decomposition, per-group subtasks,
 /// superposition. The observer receives the *summed* solution on
-/// options.output_times.
+/// options.output_times, restricted to options.probes. A null observer
+/// runs every node for its stats only: no node buffer, no accumulator,
+/// no superposition.
 DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
                                         const SchedulerOptions& options,
                                         const solver::Observer& observer);

@@ -82,12 +82,16 @@ std::vector<double> KrylovSubspace::small_solution(double h) const {
   return la::expm_e1(hm_, h);
 }
 
-double KrylovSubspace::error_estimate(double h) const {
+double KrylovSubspace::estimate(std::span<const double> w) const {
   if (trivial() || breakdown_) return 0.0;
-  const auto w = small_solution(h);
   double fw = 0.0;
   for (std::size_t i = 0; i < w.size(); ++i) fw += err_f_[i] * w[i];
   return beta_ * err_scale_ * std::abs(fw);
+}
+
+double KrylovSubspace::error_estimate(double h) const {
+  if (trivial() || breakdown_) return 0.0;
+  return estimate(small_solution(h));
 }
 
 void KrylovSubspace::combine(std::span<const double> w,
@@ -106,10 +110,24 @@ double KrylovSubspace::evaluate(double h, std::span<double> y) const {
   }
   const auto w = small_solution(h);
   combine(w, y);
-  if (breakdown_) return 0.0;
-  double fw = 0.0;
-  for (std::size_t i = 0; i < w.size(); ++i) fw += err_f_[i] * w[i];
-  return beta_ * err_scale_ * std::abs(fw);
+  return estimate(w);
+}
+
+double KrylovSubspace::evaluate_rows(double h,
+                                     std::span<const la::index_t> rows,
+                                     std::span<double> y) const {
+  MATEX_CHECK(y.size() == rows.size(), "one output per row");
+  la::set_zero(y);
+  if (trivial()) return 0.0;
+  const auto w = small_solution(h);
+  // combine()'s axpy sequence, one column at a time, on the listed rows.
+  for (int j = 0; j < m_; ++j) {
+    const double a = beta_ * w[static_cast<std::size_t>(j)];
+    const std::span<const double> v = col(j);
+    for (std::size_t p = 0; p < rows.size(); ++p)
+      y[p] += a * v[static_cast<std::size_t>(rows[p])];
+  }
+  return estimate(w);
 }
 
 void KrylovSubspace::grow(double h, const ArnoldiOptions& options) {

@@ -70,6 +70,13 @@ class KrylovSubspace {
   /// `y` must have the operator dimension.
   double evaluate(double h, std::span<double> y) const;
 
+  /// evaluate() restricted to the given rows: y[p] = (beta * V_m e^{h H_m}
+  /// e_1)[rows[p]], bitwise equal to the same rows of evaluate() (the
+  /// same multiply-adds per row, in the same column order). `y` must have
+  /// rows.size() entries; rows may repeat and come in any order.
+  double evaluate_rows(double h, std::span<const la::index_t> rows,
+                       std::span<double> y) const;
+
   /// Cheap variant reusing a precomputed small vector w = e^{h H_m} e_1.
   void combine(std::span<const double> w, std::span<double> y) const;
 
@@ -91,6 +98,7 @@ class KrylovSubspace {
   friend bool arnoldi_extend(KrylovSubspace& space, double h,
                              const ArnoldiOptions& options);
 
+  double estimate(std::span<const double> w) const;
   void grow(double h, const ArnoldiOptions& options);
   void finalize();
   void reserve_basis(int max_dim);

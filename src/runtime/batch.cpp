@@ -326,11 +326,14 @@ BatchReport BatchEngine::run(std::span<const ScenarioSpec> scenarios,
           opts.trace_label = trace_label;
           opts.cancel = &scenario_cancel;
 
+          // Nodes compute and superpose only the probe rows; no probes
+          // means a stats-only run with nothing buffered.
           solver::ProbeRecorder recorder(spec.probes);
+          opts.probes = recorder.probe_set();
           out.distributed = core::run_distributed_matex(
               mna, opts,
               spec.probes.empty() ? solver::Observer()
-                                  : recorder.observer());
+                                  : recorder.probe_observer());
           out.times = opts.output_times;
           out.probe_waveforms.clear();
           out.probe_waveforms.reserve(spec.probes.size());

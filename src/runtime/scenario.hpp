@@ -29,14 +29,17 @@ struct ScenarioSpec {
   std::size_t deck_index = 0;
   /// Scheduler configuration (solver kind/gamma/tolerance, window, output
   /// grid, decomposition bound). `pool` and `factor_cache` are overridden
-  /// by the engine's shared pool and cache.
+  /// by the engine's shared pool and cache, and `probes` by `probes`
+  /// below.
   core::SchedulerOptions scheduler;
   /// Supply-voltage scaling: every voltage-source waveform of the deck is
   /// multiplied by this factor (a Vdd corner). G, C, and B are unchanged,
   /// so scaled scenarios share every factorization with the nominal deck.
   double vdd_scale = 1.0;
   /// Unknown indices whose waveforms are recorded into the result; empty
-  /// records nothing (stats only), keeping large campaigns cheap.
+  /// records nothing (stats only), keeping large campaigns cheap. The
+  /// engine runs the scheduler with exactly these probes, so only these
+  /// rows are evaluated between segment ends and superposed.
   std::vector<la::index_t> probes;
 };
 

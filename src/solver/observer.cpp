@@ -25,6 +25,19 @@ void ProbeRecorder::operator()(double t, std::span<const double> x) {
   }
 }
 
+void ProbeRecorder::record_probes(double t, std::span<const double> x) {
+  MATEX_CHECK(x.size() == indices_.size(),
+              "observation does not match the probe list");
+  times_.push_back(t);
+  for (std::size_t p = 0; p < x.size(); ++p) waveforms_[p].push_back(x[p]);
+}
+
+void ProbeSet::check(std::size_t n) const {
+  for (const la::index_t idx : indices_)
+    MATEX_CHECK(idx >= 0 && static_cast<std::size_t>(idx) < n,
+                "probe index out of range");
+}
+
 std::vector<double> uniform_grid(double t_start, double t_end, double dt) {
   MATEX_CHECK(t_end > t_start && dt > 0.0, "invalid output grid");
   std::vector<double> grid;

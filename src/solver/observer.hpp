@@ -4,7 +4,8 @@
 /// Solvers report (t, x) pairs through an Observer callback; recorders
 /// collect full states (small systems), selected probes (large systems),
 /// or accumulate error statistics on the fly so that million-sample runs
-/// never materialize two full solution histories.
+/// never materialize two full solution histories. The MATEX solvers take a
+/// ProbeSet and compute only the observed rows between segment ends.
 #pragma once
 
 #include <functional>
@@ -16,7 +17,36 @@
 namespace matex::solver {
 
 /// Callback invoked by solvers at every output time, in increasing t.
+/// `x` is the full state, unless the solver was handed a ProbeSet that
+/// lists unknowns: then `x` holds exactly those unknowns' values, in list
+/// order (one entry per listed index, duplicates included).
 using Observer = std::function<void(double t, std::span<const double> x)>;
+
+/// The unknowns an observer receives: every unknown (the default, full
+/// states) or a list of unknown indices in any order, duplicates allowed.
+class ProbeSet {
+ public:
+  /// Every unknown, in index order.
+  ProbeSet() = default;
+  /// Exactly these unknowns, in this order. An empty list observes
+  /// nothing (the observer receives empty spans).
+  explicit ProbeSet(std::vector<la::index_t> indices)
+      : all_(false), indices_(std::move(indices)) {}
+
+  bool all() const { return all_; }
+  /// The listed indices (empty when all()).
+  const std::vector<la::index_t>& indices() const { return indices_; }
+  /// Values per observation on a system of dimension n.
+  std::size_t width(std::size_t n) const {
+    return all_ ? n : indices_.size();
+  }
+  /// Throws InvalidArgument unless every index lies in [0, n).
+  void check(std::size_t n) const;
+
+ private:
+  bool all_ = true;
+  std::vector<la::index_t> indices_;
+};
 
 /// Records full state vectors (use only for small systems / few samples).
 class StateRecorder {
@@ -44,7 +74,11 @@ class ProbeRecorder {
  public:
   explicit ProbeRecorder(std::vector<la::index_t> indices);
 
+  /// Picks the probes out of a full state.
   void operator()(double t, std::span<const double> x);
+  /// Records the values of a solver run with probe_set(): `x` already
+  /// holds the probes, in order.
+  void record_probes(double t, std::span<const double> x);
 
   const std::vector<double>& times() const { return times_; }
   /// Waveform of probe p (aligned with times()).
@@ -55,6 +89,13 @@ class ProbeRecorder {
 
   Observer observer() {
     return [this](double t, std::span<const double> x) { (*this)(t, x); };
+  }
+  /// The probes as a ProbeSet, and the observer for a solver run with it.
+  ProbeSet probe_set() const { return ProbeSet(indices_); }
+  Observer probe_observer() {
+    return [this](double t, std::span<const double> x) {
+      record_probes(t, x);
+    };
   }
 
  private:

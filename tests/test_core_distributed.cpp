@@ -408,6 +408,81 @@ TEST(Scheduler, ParallelWithSharedFactorizations) {
   ASSERT_EQ(rec.sample_count(), opt.output_times.size());
 }
 
+TEST(Scheduler, ProbeSetMatchesAllUnknownsBitwise) {
+  // Probe-sized node buffers and accumulator: the observed rows are the
+  // same bits as the all-unknowns run at every parallelism; the list may
+  // be unsorted and repeat an index.
+  PdnFixture f;
+  SchedulerOptions opt;
+  opt.t_end = 2.0;
+  opt.solver.gamma = 0.05;
+  opt.solver.tolerance = 1e-10;
+  opt.output_times = uniform_grid(0.0, 2.0, 0.05);
+  const std::vector<la::index_t> probes{5, 0, 3, 0};
+  for (const int parallelism : {1, 3}) {
+    opt.parallelism = parallelism;
+    opt.probes = solver::ProbeSet();
+    StateRecorder all;
+    const auto ra = run_distributed_matex(*f.mna, opt, all.observer());
+    solver::ProbeRecorder rows(probes);
+    opt.probes = rows.probe_set();
+    const auto rr = run_distributed_matex(*f.mna, opt, rows.probe_observer());
+    ASSERT_EQ(rows.times(), all.times());
+    for (std::size_t p = 0; p < probes.size(); ++p)
+      for (std::size_t i = 0; i < all.sample_count(); ++i)
+        EXPECT_EQ(rows.waveform(p)[i],
+                  all.state(i)[static_cast<std::size_t>(probes[p])])
+            << "parallelism " << parallelism << " probe " << probes[p]
+            << " t=" << all.times()[i];
+    EXPECT_EQ(rr.aggregate.steps, ra.aggregate.steps);
+    EXPECT_EQ(rr.aggregate.solves, ra.aggregate.solves);
+    EXPECT_EQ(rr.aggregate.krylov_dim_total, ra.aggregate.krylov_dim_total);
+  }
+}
+
+TEST(Scheduler, NullObserverBuffersAndSuperposesNothing) {
+  // A stats-only run: every counter as in an observed run, no
+  // superposition.
+  PdnFixture f;
+  SchedulerOptions opt;
+  opt.t_end = 2.0;
+  opt.solver.gamma = 0.05;
+  opt.solver.tolerance = 1e-10;
+  opt.output_times = uniform_grid(0.0, 2.0, 0.05);
+  opt.parallelism = 3;
+  StateRecorder all;
+  const auto observed = run_distributed_matex(*f.mna, opt, all.observer());
+  const auto blind = run_distributed_matex(*f.mna, opt, nullptr);
+  EXPECT_EQ(blind.superposition_seconds, 0.0);
+  EXPECT_EQ(blind.group_count, observed.group_count);
+  const auto& a = blind.aggregate;
+  const auto& b = observed.aggregate;
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.rejected_steps, b.rejected_steps);
+  EXPECT_EQ(a.factorizations, b.factorizations);
+  EXPECT_EQ(a.refactorizations, b.refactorizations);
+  EXPECT_EQ(a.solves, b.solves);
+  EXPECT_EQ(a.krylov_subspaces, b.krylov_subspaces);
+  EXPECT_EQ(a.krylov_dim_total, b.krylov_dim_total);
+  EXPECT_EQ(a.krylov_dim_peak, b.krylov_dim_peak);
+  ASSERT_EQ(blind.nodes.size(), observed.nodes.size());
+  for (std::size_t g = 0; g < blind.nodes.size(); ++g) {
+    EXPECT_EQ(blind.nodes[g].stats.steps, observed.nodes[g].stats.steps);
+    EXPECT_EQ(blind.nodes[g].lts_size, observed.nodes[g].lts_size);
+  }
+}
+
+TEST(Scheduler, OutOfRangeProbeThrows) {
+  PdnFixture f;
+  SchedulerOptions opt;
+  opt.t_end = 1.0;
+  opt.output_times = {0.0, 0.5, 1.0};
+  opt.probes = solver::ProbeSet({0, f.mna->dimension()});
+  EXPECT_THROW(run_distributed_matex(*f.mna, opt, nullptr), InvalidArgument);
+  opt.probes = solver::ProbeSet({-1});
+  EXPECT_THROW(run_distributed_matex(*f.mna, opt, nullptr), InvalidArgument);
+}
+
 TEST(Scheduler, InvalidOptionsThrow) {
   PdnFixture f;
   SchedulerOptions opt;

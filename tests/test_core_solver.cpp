@@ -389,6 +389,83 @@ TEST(MatexSolver, InvalidArgumentsThrow) {
       InvalidArgument);
 }
 
+TEST(MatexSolver, ProbeSetRowsAreBitwiseEqualToFullStates) {
+  // Between segment ends only the probe rows are evaluated; they must be
+  // the same bits as the full state's rows, for every Krylov kind.
+  ChainFixture f;
+  const auto dc = solver::dc_operating_point(*f.mna);
+  const FullInput input(*f.mna);
+  // 0.05 steps: points inside segments and on the pulse's corners.
+  const auto grid = uniform_grid(0.0, 1.5, 0.05);
+  const std::vector<la::index_t> probes{3, 0, 2, 0};
+  for (const KindCase kc : {KindCase{KrylovKind::kRational, 0.1},
+                            KindCase{KrylovKind::kInverted, 0.0},
+                            KindCase{KrylovKind::kStandard, 0.0}}) {
+    MatexOptions opt;
+    opt.kind = kc.kind;
+    opt.gamma = kc.gamma;
+    opt.tolerance = 1e-10;
+    const MatexCircuitSolver solver(*f.mna, opt, dc.g_factors);
+    StateRecorder full;
+    const auto full_stats =
+        solver.run(dc.x, 0.0, 1.5, input, grid, full.observer());
+    solver::ProbeRecorder rows(probes);
+    const auto row_stats = solver.run(dc.x, 0.0, 1.5, input, grid,
+                                      rows.probe_observer(),
+                                      rows.probe_set());
+    ASSERT_EQ(rows.times(), full.times());
+    for (std::size_t p = 0; p < probes.size(); ++p)
+      for (std::size_t i = 0; i < full.sample_count(); ++i)
+        EXPECT_EQ(rows.waveform(p)[i],
+                  full.state(i)[static_cast<std::size_t>(probes[p])])
+            << krylov::kind_name(kc.kind) << " probe " << probes[p]
+            << " t=" << full.times()[i];
+    EXPECT_EQ(row_stats.steps, full_stats.steps);
+    EXPECT_EQ(row_stats.solves, full_stats.solves);
+    EXPECT_EQ(row_stats.krylov_dim_total, full_stats.krylov_dim_total);
+    // Nothing observed: the same counters, no output at all.
+    const auto blind_stats = solver.run(dc.x, 0.0, 1.5, input, grid, nullptr);
+    EXPECT_EQ(blind_stats.steps, full_stats.steps);
+    EXPECT_EQ(blind_stats.solves, full_stats.solves);
+    EXPECT_EQ(blind_stats.krylov_subspaces, full_stats.krylov_subspaces);
+  }
+}
+
+TEST(MatexSolver, OutOfRangeProbeThrows) {
+  ChainFixture f;
+  const auto dc = solver::dc_operating_point(*f.mna);
+  const MatexCircuitSolver solver(*f.mna, MatexOptions{}, dc.g_factors);
+  const FullInput input(*f.mna);
+  const std::vector<double> grid{0.0, 0.5};
+  for (const la::index_t bad : {la::index_t{-1}, f.mna->dimension()})
+    EXPECT_THROW(solver.run(dc.x, 0.0, 1.0, input, grid, nullptr,
+                            solver::ProbeSet({0, bad})),
+                 InvalidArgument)
+        << bad;
+}
+
+TEST(MatexSolver, RejectsNonPiecewiseLinearInputs) {
+  // A SIN source is sampled only at the LTS; MATEX refuses it instead of
+  // silently losing accuracy (LinearizedSinDriveMatchesTrReference shows
+  // the supported route).
+  Netlist n;
+  n.add_resistor("R1", "a", "0", 1.0);
+  n.add_capacitor("C1", "a", "0", 1e-12);
+  circuit::SinSpec sin;
+  sin.amplitude = 1e-3;
+  sin.frequency = 1e8;
+  n.add_current_source("I1", "a", "0", Waveform::sin(sin));
+  const MnaSystem mna(n);
+  try {
+    const MatexCircuitSolver solver(mna, MatexOptions{});
+    ADD_FAILURE() << "SIN input accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("Waveform::linearized()"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(MatexSolver, StallThrowsWhenBudgetImpossible) {
   ChainFixture f;
   const auto dc = solver::dc_operating_point(*f.mna);

@@ -351,6 +351,10 @@ TEST(Cancellation, CrossThreadCancelUnblocksScheduler) {
   opt.output_times = uniform_grid(0.0, 1000.0, 0.01);
   CancelToken token;
   opt.cancel = &token;
+  // Observed, so every node evaluates each output point (a run with no
+  // observer skips them and could finish before the cancel lands).
+  solver::ProbeRecorder recorder({0});
+  opt.probes = recorder.probe_set();
 
   std::atomic<bool> done{false};
   std::thread canceller([&] {
@@ -358,8 +362,9 @@ TEST(Cancellation, CrossThreadCancelUnblocksScheduler) {
     token.cancel();
   });
   const solver::Stopwatch sw;
-  EXPECT_THROW(core::run_distributed_matex(mna, opt, solver::Observer()),
-               CancelledError);
+  EXPECT_THROW(
+      core::run_distributed_matex(mna, opt, recorder.probe_observer()),
+      CancelledError);
   done.store(true);
   canceller.join();
   EXPECT_LT(sw.seconds(), 30.0);

@@ -197,6 +197,53 @@ TEST_P(ArnoldiKindTest, ZeroStartVectorIsTrivial) {
   for (double v : y) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
+/// evaluate_rows must reproduce the listed rows of evaluate() bit for bit
+/// (and return the same error estimate), whatever the row order.
+void expect_rows_match_evaluate(const KrylovSubspace& s, double h,
+                                std::size_t n) {
+  std::vector<double> full(n);
+  const double full_err = s.evaluate(h, full);
+  std::vector<index_t> rows;
+  for (std::size_t i = n; i-- > 0;) rows.push_back(static_cast<index_t>(i));
+  rows.push_back(rows[1]);  // a duplicate
+  rows.push_back(0);
+  std::vector<double> part(rows.size(), 42.0);
+  EXPECT_EQ(s.evaluate_rows(h, rows, part), full_err);
+  for (std::size_t p = 0; p < rows.size(); ++p)
+    EXPECT_EQ(part[p], full[static_cast<std::size_t>(rows[p])])
+        << "row " << rows[p] << " h=" << h;
+  std::vector<double> none;
+  EXPECT_EQ(s.evaluate_rows(h, std::vector<index_t>{}, none), full_err);
+}
+
+TEST_P(ArnoldiKindTest, EvaluateRowsIsBitwiseEqualToEvaluate) {
+  const auto [kind, gamma] = GetParam();
+  const auto sys = make_rc(4, 4, 1.0, 0.4);
+  const CircuitOperator op(sys.c, sys.g, kind, gamma);
+  matex::testing::Rng rng(11);
+  const auto v0 = matex::testing::random_vector(16, rng);
+  ArnoldiOptions opts;
+  opts.max_dim = 12;
+  opts.tolerance = 1e-12;
+  const auto s = arnoldi(op, v0, 0.8, opts);
+  ASSERT_GT(s.dim(), 1);
+  for (const double h : {0.0, 0.1, 0.35, 0.8})
+    expect_rows_match_evaluate(s, h, 16);
+  std::vector<double> wrong_size(3);
+  EXPECT_THROW(
+      s.evaluate_rows(0.1, std::vector<index_t>{0, 1}, wrong_size),
+      InvalidArgument);
+}
+
+TEST_P(ArnoldiKindTest, EvaluateRowsOnTrivialSubspaceIsZero) {
+  const auto [kind, gamma] = GetParam();
+  const auto sys = make_rc(3, 3);
+  const CircuitOperator op(sys.c, sys.g, kind, gamma);
+  const auto s = arnoldi(op, std::vector<double>(9, 0.0), 0.5);
+  ASSERT_TRUE(s.trivial());
+  expect_rows_match_evaluate(s, 0.5, 9);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, ArnoldiKindTest,
     ::testing::Values(KindParam{KrylovKind::kStandard, 0.0},
@@ -224,6 +271,8 @@ TEST(Arnoldi, HappyBreakdownOnEigenvector) {
   EXPECT_DOUBLE_EQ(s.evaluate(1.0, y), 0.0);
   EXPECT_NEAR(y[1], std::exp(-2.0), 1e-12);  // lambda = -g/c = -2
   EXPECT_NEAR(y[0], 0.0, 1e-15);
+  expect_rows_match_evaluate(s, 1.0, 4);
+  expect_rows_match_evaluate(s, 0.25, 4);
 }
 
 TEST(Arnoldi, BreakdownOnAlgebraicSubspaceDecaysToZero) {
@@ -252,6 +301,7 @@ TEST(Arnoldi, BreakdownOnAlgebraicSubspaceDecaysToZero) {
     EXPECT_DOUBLE_EQ(s.evaluate(1e-10, y), 0.0) << kind_name(kind);
     EXPECT_NEAR(y[0], 0.0, 1e-12) << kind_name(kind);
     EXPECT_NEAR(y[1], 0.0, 1e-12) << kind_name(kind);
+    expect_rows_match_evaluate(s, 1e-10, 2);
   }
 }
 

@@ -222,6 +222,8 @@ TEST_F(ObsTest, SolverPhasesAndSchedulerIdentityAppearInTrace) {
   sweep.tolerances = {1e-8};
   sweep.base.t_end = 2.0;
   sweep.base.output_times = uniform_grid(0.0, 2.0, 0.1);
+  // Observed rows: a stats-only scenario superposes nothing.
+  sweep.probes = {0};
   const auto scenarios = engine.expand(sweep);
   ASSERT_FALSE(scenarios.empty());
 

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
@@ -265,6 +266,99 @@ TEST(DistributedCli, PerfJsonWritesDcSecondsOnce) {
   EXPECT_EQ(dc_keys, 1);
   EXPECT_GT(doc.at("dc_seconds").as_number(), 0.0);
   EXPECT_EQ(doc.at("factorizations").as_number(), 1.0);
+}
+
+TEST(DistributedCli, PerfJsonCarriesEveryKeyTheBenchReads) {
+  // bench/e2e/run.py reads these keys; a schema change must fail here,
+  // not silently in the harness.
+  const char* const stats_keys[] = {
+      "transient_seconds", "steps",           "rejected_steps",
+      "krylov_subspaces",  "krylov_dim_avg",  "krylov_dim_peak"};
+  const auto expect_stats = [&](const solver::JsonValue& doc,
+                                const std::string& what) {
+    for (const char* key : stats_keys)
+      EXPECT_NO_THROW(doc.at(key).as_number()) << what << ": " << key;
+  };
+
+  ASSERT_EQ(run_cli("--method rmatex --perf-json perf_rmatex.json"
+                    " --out perf_rmatex.tbl",
+                    "perf_rmatex.log"),
+            0);
+  expect_stats(solver::parse_json_file("perf_rmatex.json"), "rmatex");
+
+  ASSERT_EQ(run_cli("--method dist --threads 2 --perf-json perf_dist.json"
+                    " --out perf_dist.tbl",
+                    "perf_dist.log"),
+            0);
+  const solver::JsonValue dist = solver::parse_json_file("perf_dist.json");
+  expect_stats(dist, "dist");
+  EXPECT_GT(dist.at("max_node_transient_seconds").as_number(), 0.0);
+  EXPECT_GE(dist.at("groups").as_number(), 1.0);
+  EXPECT_GE(dist.at("workers_used").as_number(), 1.0);
+
+  ASSERT_EQ(run_cli("--batch --threads 2 --perf-json perf_batch.json"
+                    " --out perf_batch.tbl",
+                    "perf_batch.log"),
+            0);
+  const solver::JsonValue batch = solver::parse_json_file("perf_batch.json");
+  EXPECT_EQ(batch.at("scenarios").as_number(), 6.0);
+  EXPECT_EQ(batch.at("retries").as_number(), 0.0);
+  EXPECT_GE(batch.at("threads").as_number(), 1.0);
+  const auto& per_scenario = batch.at("per_scenario").array;
+  ASSERT_EQ(per_scenario.size(), 6u);
+  for (const solver::JsonValue& scenario : per_scenario) {
+    expect_stats(scenario, "batch scenario");
+    EXPECT_GE(scenario.at("groups").as_number(), 1.0);
+  }
+}
+
+TEST(MatexCli, SinSourceRejectedByMatexButNotByTr) {
+  std::ofstream("sin_rc.sp") << "* one-node RC under a SIN load\n"
+                                "R1 a 0 1k\n"
+                                "C1 a 0 1p\n"
+                                "I1 a 0 SIN(0 1m 100MEG)\n"
+                                ".tran 10p 2n\n"
+                                ".end\n";
+  EXPECT_EQ(run_cli("sin_rc.sp --method rmatex --out sin_rmatex.tbl",
+                    "sin_rmatex.log"),
+            1);
+  const std::string log = slurp("sin_rmatex.log");
+  EXPECT_NE(log.find("Waveform::linearized()"), std::string::npos) << log;
+  EXPECT_EQ(run_cli("sin_rc.sp --method tr --out sin_tr.tbl", "sin_tr.log"),
+            0)
+      << slurp("sin_tr.log");
+}
+
+TEST(ShardedCampaignCli, JournalFromBeforeProbeRestrictionResumes) {
+  // tests/goldens/digest_grid_campaign.jsonl was journaled by the build
+  // that evaluated full states and filtered probes afterwards. Its
+  // scenario fingerprints must still match, so all six default scenarios
+  // restore, and the store equals a fresh run's byte for byte.
+  const std::string goldens = std::string(MATEX_REPO_ROOT) + "/tests/goldens";
+  std::filesystem::copy_file(
+      goldens + "/digest_grid.sp", "digest_grid.sp",
+      std::filesystem::copy_options::overwrite_existing);
+  std::filesystem::copy_file(
+      goldens + "/digest_grid_campaign.jsonl", "resume_old.jsonl",
+      std::filesystem::copy_options::overwrite_existing);
+  fresh_journals("resume_new");
+  const std::string campaign =
+      "digest_grid.sp --batch --threads 2"
+      " --probe n22 --probe n13 --probe n32 --probe n21";
+  ASSERT_EQ(run_cli(campaign + " --checkpoint resume_old.jsonl"
+                               " --store resume_old.store",
+                    "resume_old.log"),
+            0);
+  const std::string log = slurp("resume_old.log");
+  EXPECT_NE(log.find("checkpoint: 6 scenarios restored"), std::string::npos)
+      << log;
+  ASSERT_EQ(run_cli(campaign + " --checkpoint resume_new.jsonl"
+                               " --store resume_new.store",
+                    "resume_new.log"),
+            0);
+  const std::string fresh = slurp("resume_new.store");
+  ASSERT_FALSE(fresh.empty());
+  EXPECT_EQ(slurp("resume_old.store"), fresh);
 }
 
 #else
