@@ -48,11 +48,6 @@ jq -c --arg pr "$pr_label" --arg date "$(date -u +%Y-%m-%d)" \
   n: .mesh.n,
   refactor_speedup: .factorization.refactor_speedup,
   blocked_vs_scalar_speedup: .factorization.blocked_vs_scalar_speedup,
-  parallel_refactor_speedup: .factorization.parallel_refactor_speedup,
-  parallel_refactor_seconds_t1: .factorization.parallel_refactor_seconds_t1,
-  parallel_refactor_seconds_t2: .factorization.parallel_refactor_seconds_t2,
-  parallel_refactor_seconds_hw: .factorization.parallel_refactor_seconds_hw,
-  hardware_threads: .factorization.hardware_threads,
   supernode_avg_width: .supernodes.avg_width,
   sparse_rhs_vs_dense_ratio: .solve.sparse_rhs_vs_dense_ratio,
   solves_per_second: .solve.solves_per_second,

@@ -1,17 +1,10 @@
 /// \file bench_ablation_solver.cpp
-/// \brief Ablations for the substrate design choices DESIGN.md calls out:
-///
-///  (a) direct vs iterative linear solvers on the PG conductance matrix
-///      (the paper's Sec. 1 argument for direct methods in transient
-///      flows: one factorization amortizes over thousands of solves);
-///  (b) LU vs LDL^T on the symmetric G;
-///  (c) fill-reducing orderings (natural vs RCM vs min-degree).
+/// \brief Ablation of the fill-reducing ordering under the direct solver:
+///        natural vs RCM vs min-degree, LU on the PG conductance matrix.
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "circuit/mna.hpp"
-#include "la/cg.hpp"
-#include "la/sparse_ldlt.hpp"
 #include "la/sparse_lu.hpp"
 #include "pgbench/pg_generator.hpp"
 #include "solver/stats.hpp"
@@ -20,82 +13,13 @@ int main() {
   using namespace matex;
   const double scale = bench::env_scale();
 
-  auto spec = pgbench::table_benchmark_spec(3, scale);
-  // The SPD comparisons need the resistive grid: package inductance adds
-  // branch rows with zero G diagonal (indefinite MNA), which is exactly
-  // why general PG solvers keep an LU path alongside Cholesky.
-  spec.pad_inductance = 0.0;
+  const auto spec = pgbench::table_benchmark_spec(3, scale);
   const auto netlist = pgbench::generate_power_grid(spec);
   const circuit::MnaSystem mna(netlist);
   const la::CscMatrix& g = mna.g();
-  const std::size_t n = static_cast<std::size_t>(g.rows());
-  std::vector<double> b(n);
-  mna.rhs_at(0.0, b);
 
-  std::printf("solver ablation on %s: n=%zu, nnz(G)=%d\n\n",
-              spec.name.c_str(), n, g.nnz());
-
-  // ---------------- (a) direct vs iterative, amortized over k solves.
-  std::printf("(a) direct vs iterative (solve cost amortization)\n");
-  std::printf("%-22s %12s %14s %14s\n", "method", "setup(s)", "per-solve(s)",
-              "1000 solves(s)");
-  bench::rule(66);
-  {
-    solver::Stopwatch sw;
-    const la::SparseLU lu(g);
-    const double setup = sw.seconds();
-    std::vector<double> x = b;
-    sw.restart();
-    const int reps = 50;
-    std::vector<double> work(n);
-    for (int i = 0; i < reps; ++i) lu.solve_in_place(x, work);
-    const double per_solve = sw.seconds() / reps;
-    std::printf("%-22s %12.3f %14.6f %14.3f\n", "LU (direct)", setup,
-                per_solve, setup + 1000 * per_solve);
-  }
-  {
-    solver::Stopwatch sw;
-    const auto precond = la::ssor_preconditioner(g);
-    const double setup = sw.seconds();
-    la::CgOptions opt;
-    opt.tolerance = 1e-10;
-    opt.max_iterations = 20000;
-    sw.restart();
-    const auto r = la::conjugate_gradient(g, b, opt, precond);
-    const double per_solve = sw.seconds();
-    std::printf("%-22s %12.3f %14.6f %14.3f   (%d its, conv=%d)\n",
-                "CG + SSOR (iterative)", setup, per_solve,
-                setup + 1000 * per_solve, r.iterations, (int)r.converged);
-  }
-
-  // ---------------- (b) LU vs LDLT on symmetric G.
-  std::printf("\n(b) LU vs LDL^T on the symmetric G\n");
-  std::printf("%-10s %12s %12s %12s\n", "factor", "setup(s)", "nnz",
-              "per-solve(s)");
-  bench::rule(52);
-  {
-    solver::Stopwatch sw;
-    const la::SparseLU lu(g);
-    const double setup = sw.seconds();
-    std::vector<double> x = b, work(n);
-    sw.restart();
-    for (int i = 0; i < 50; ++i) lu.solve_in_place(x, work);
-    std::printf("%-10s %12.3f %12d %12.6f\n", "LU", setup,
-                lu.nnz_l() + lu.nnz_u(), sw.seconds() / 50);
-  }
-  {
-    solver::Stopwatch sw;
-    const la::SparseLDLT f(g);
-    const double setup = sw.seconds();
-    std::vector<double> x = b, work(n);
-    sw.restart();
-    for (int i = 0; i < 50; ++i) f.solve_in_place(x, work);
-    std::printf("%-10s %12.3f %12d %12.6f   (pd=%d)\n", "LDL^T", setup,
-                f.nnz_l(), sw.seconds() / 50, (int)f.positive_definite());
-  }
-
-  // ---------------- (c) orderings.
-  std::printf("\n(c) fill-reducing orderings (LU on G)\n");
+  std::printf("ordering ablation on %s: n=%d, nnz(G)=%d\n\n",
+              spec.name.c_str(), g.rows(), g.nnz());
   std::printf("%-12s %12s %12s %12s\n", "ordering", "factor(s)",
               "nnz(L+U)", "fill ratio");
   bench::rule(52);
@@ -111,9 +35,7 @@ int main() {
                 lu.nnz_l() + lu.nnz_u(), lu.fill_ratio());
   }
   std::printf(
-      "\nShape check: direct wins once the factorization amortizes over\n"
-      "the transient loop's thousands of solves (the paper's Sec. 1\n"
-      "argument); LDL^T halves fill on SPD G; min-degree beats RCM beats\n"
-      "natural on grid-like patterns.\n");
+      "\nShape check: min-degree beats RCM beats natural on grid-like\n"
+      "patterns.\n");
   return 0;
 }

@@ -24,7 +24,6 @@
 #include <new>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -38,7 +37,6 @@
 #include "pgbench/pg_generator.hpp"
 #include "runtime/cancel.hpp"
 #include "runtime/failpoint.hpp"
-#include "runtime/thread_pool.hpp"
 #include "solver/dc.hpp"
 #include "solver/fixed_step.hpp"
 #include "solver/json_writer.hpp"
@@ -237,65 +235,6 @@ int main(int argc, char** argv) try {
     }
   }
   const la::SupernodeStats& sn_stats = sn_symbolic->supernode_stats();
-
-  // ------------------------- parallel blocked refill (panel scheduler)
-  // Same sweep, same plan, refilled with the per-supernode panel tasks
-  // scheduled across a thread pool at 1, 2, and hardware threads.
-  // Bitwise identity against the serial blocked refills is a hard gate
-  // at every count; the speedup is a property of the machine, so its
-  // >= 1.0 floor and the baseline ratio apply only on runners with at
-  // least 4 hardware threads (the CI shape) -- a 1-core container can
-  // measure nothing but the scheduling overhead.
-  const int hardware_threads =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  std::vector<int> parallel_thread_counts{1, 2};
-  if (hardware_threads > 2) parallel_thread_counts.push_back(hardware_threads);
-  struct ParallelPoint {
-    int threads = 0;
-    double seconds = 0.0;
-  };
-  std::vector<ParallelPoint> parallel_points;
-  bool parallel_all_parallel = true;
-  bool parallel_bitwise_identical = true;
-  {
-    std::vector<double> pb(sn_n), x_b(sn_n), x_p(sn_n), pwork(sn_n);
-    fill_random(pb, 11);
-    for (const int threads : parallel_thread_counts) {
-      runtime::ThreadPool pool(threads);
-      la::SparseLuOptions par_opt = blocked_opt;
-      par_opt.pool = &pool;
-      std::vector<std::unique_ptr<la::SparseLU>> parallel_refills;
-      clock.restart();
-      for (int rep = 0; rep < kRefillReps; ++rep) {
-        parallel_refills.clear();
-        for (const auto& m : sn_sweep)
-          parallel_refills.push_back(
-              std::make_unique<la::SparseLU>(m, sn_symbolic, par_opt));
-      }
-      parallel_points.push_back(
-          {threads, clock.seconds() / (kSweep * kRefillReps)});
-      for (int i = 0; i < kSweep; ++i) {
-        parallel_all_parallel =
-            parallel_all_parallel &&
-            parallel_refills[static_cast<std::size_t>(i)]
-                ->refactored_parallel();
-        la::copy(pb, x_b);
-        blocked_refills[static_cast<std::size_t>(i)]->solve_in_place(x_b,
-                                                                     pwork);
-        la::copy(pb, x_p);
-        parallel_refills[static_cast<std::size_t>(i)]->solve_in_place(x_p,
-                                                                      pwork);
-        for (std::size_t k = 0; k < sn_n; ++k)
-          parallel_bitwise_identical =
-              parallel_bitwise_identical && x_b[k] == x_p[k];
-      }
-    }
-  }
-  double parallel_best_seconds = parallel_points.front().seconds;
-  for (const auto& p : parallel_points)
-    parallel_best_seconds = std::min(parallel_best_seconds, p.seconds);
-  const double parallel_refactor_speedup =
-      blocked_refactor_seconds / parallel_best_seconds;
 
   // ----------------------------------------------- dense solve throughput
   const la::SparseLU& lu_g = *full_factors.front();
@@ -512,18 +451,6 @@ int main(int argc, char** argv) try {
   w.key("blocked_vs_scalar_speedup").value(blocked_vs_scalar_speedup);
   w.key("blocked_all_supernodal").value(blocked_all_supernodal);
   w.key("blocked_bitwise_identical").value(blocked_bitwise_identical);
-  w.key("hardware_threads").value(hardware_threads);
-  for (const auto& p : parallel_points) {
-    const std::string key = (p.threads == hardware_threads &&
-                             hardware_threads > 2)
-                                ? std::string("parallel_refactor_seconds_hw")
-                                : "parallel_refactor_seconds_t" +
-                                      std::to_string(p.threads);
-    w.key(key.c_str()).value(p.seconds);
-  }
-  w.key("parallel_refactor_speedup").value(parallel_refactor_speedup);
-  w.key("parallel_all_parallel").value(parallel_all_parallel);
-  w.key("parallel_bitwise_identical").value(parallel_bitwise_identical);
   w.end_object();
   w.key("supernodes").begin_object();
   w.key("mesh_n").value(sn_n);
@@ -596,25 +523,6 @@ int main(int argc, char** argv) try {
     std::fprintf(stderr,
                  "FAIL: blocked refactorization solutions are not bitwise "
                  "identical to the scalar replay\n");
-    ++failures;
-  }
-  if (!parallel_all_parallel) {
-    std::fprintf(stderr,
-                 "FAIL: a pooled kAlways refill did not run the parallel "
-                 "panel scheduler\n");
-    ++failures;
-  }
-  if (!parallel_bitwise_identical) {
-    std::fprintf(stderr,
-                 "FAIL: parallel refactorization solutions are not bitwise "
-                 "identical to the serial blocked kernel\n");
-    ++failures;
-  }
-  if (hardware_threads >= 4 && parallel_refactor_speedup < 1.0) {
-    std::fprintf(stderr,
-                 "FAIL: parallel refill is slower than the serial blocked "
-                 "kernel (%.3fx) on a %d-thread machine\n",
-                 parallel_refactor_speedup, hardware_threads);
     ++failures;
   }
   if (span_disabled_allocs != 0) {
@@ -701,10 +609,6 @@ int main(int argc, char** argv) try {
     };
     check_ratio_min("refactor_speedup", refactor_speedup);
     check_ratio_min("blocked_vs_scalar_speedup", blocked_vs_scalar_speedup);
-    // Machine-dependent by construction: the parallel speedup is gated
-    // only where parallelism physically exists (the 4-vCPU CI runners).
-    if (hardware_threads >= 4)
-      check_ratio_min("parallel_refactor_speedup", parallel_refactor_speedup);
     check_ratio_max("sparse_rhs_vs_dense_ratio", sparse_vs_dense);
     check_allocs("dense_solve_allocs_per_call", dense_solve_allocs);
     check_allocs("sparse_rhs_allocs_per_call", sparse_solve_allocs);

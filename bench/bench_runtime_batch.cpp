@@ -1,8 +1,9 @@
 /// \file bench_runtime_batch.cpp
 /// \brief Batch-engine throughput: a campaign of scenarios over one deck,
-///        run (a) sequentially with caching disabled -- what a loop of
-///        independent processes would do -- and (b) concurrently on the
-///        shared pool with the shared factorization cache.
+///        run (a) one scenario at a time on a one-worker engine with
+///        caching disabled -- what a loop of independent processes would
+///        do -- and (b) concurrently on the shared pool with the shared
+///        factorization cache.
 ///
 /// Reports per-mode wall time, scenario throughput, the factorization
 /// cache hit rate, and the max absolute waveform difference between the
@@ -60,7 +61,6 @@ int main() {
   modes[0].label = "sequential, uncached";
   modes[0].options.threads = 1;
   modes[0].options.cache_capacity = 0;  // disable caching
-  modes[0].options.nodes_on_pool = false;
   modes[1].label = "batched, shared cache";
   modes[1].options.threads = 0;  // hardware concurrency
 
@@ -73,9 +73,10 @@ int main() {
     auto engine = build_engine(modes[m].options);
     const auto scenarios = engine->expand(sweep);
     if (m == 0) {
-      // True sequential baseline: one scenario per run() call, so the
-      // bench's calling thread (which helps the pool) can never overlap
-      // two jobs. Wall time and cache counters accumulate across calls.
+      // Scenario-sequential baseline: one scenario per run() call, so two
+      // jobs never overlap (a job's nodes still run on the one pool
+      // worker and the helping calling thread). Wall time and cache
+      // counters accumulate across calls.
       solver::Stopwatch clock;
       for (std::size_t si = 0; si < scenarios.size(); ++si) {
         auto one = engine->run(

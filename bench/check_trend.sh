@@ -15,10 +15,6 @@
 # Gated metrics (missing on either side => skipped, so old points stay
 # comparable as new metrics appear):
 #   refactor_speedup, blocked_vs_scalar_speedup      -- may not halve
-#   parallel_refactor_speedup                        -- may not halve, and
-#     floors at 1.0; both only when BOTH points ran on >= 4 hardware
-#     threads (below that the number measures scheduling overhead, not
-#     parallelism, and points from small containers must stay appendable)
 #   sparse_rhs_vs_dense_ratio                        -- may not double
 #   allocs_per_step, tr_allocs_per_step              -- may not grow by >1
 #   span_disabled_allocs, span_enabled_allocs        -- may not grow by >1
@@ -57,8 +53,6 @@ if [[ -n "$candidate_json" ]]; then
   current="$(jq -c '{
     refactor_speedup: .factorization.refactor_speedup,
     blocked_vs_scalar_speedup: .factorization.blocked_vs_scalar_speedup,
-    parallel_refactor_speedup: .factorization.parallel_refactor_speedup,
-    hardware_threads: .factorization.hardware_threads,
     sparse_rhs_vs_dense_ratio: .solve.sparse_rhs_vs_dense_ratio,
     allocs_per_step: .arnoldi.allocs_per_step,
     tr_allocs_per_step: .transient.tr_allocs_per_step,
@@ -102,22 +96,9 @@ jq -n -e --argjson prev "$prev" --argjson cur "$current" \
     if ($cur[key] != null and $cur[key] > cap)
     then ["FAIL: \(key) = \($cur[key]) exceeds the absolute cap \(cap)"]
     else [] end;
-  # Parallel speedup is machine-dependent: gate it only between points
-  # that both ran with real parallelism (>= 4 hardware threads), and
-  # floor the current point at 1.0 there (slower-than-serial = broken).
-  def parallel_gated:
-    ($prev.hardware_threads // 0) >= 4 and ($cur.hardware_threads // 0) >= 4;
-  def gate_parallel:
-    (if parallel_gated then gate_min("parallel_refactor_speedup") else [] end)
-    + (if ($cur.hardware_threads // 0) >= 4 and
-          $cur.parallel_refactor_speedup != null and
-          $cur.parallel_refactor_speedup < 1.0
-       then ["FAIL: parallel_refactor_speedup \($cur.parallel_refactor_speedup) is below the 1.0 floor"]
-       else [] end);
   ( gate_min("refactor_speedup")
   + gate_min("blocked_vs_scalar_speedup")
   + gate_min("campaign_scenarios_per_second")
-  + gate_parallel
   + gate_max("sparse_rhs_vs_dense_ratio")
   + gate_allocs("allocs_per_step")
   + gate_allocs("tr_allocs_per_step")

@@ -313,6 +313,9 @@ solver::TransientStats MatexCircuitSolver::run(
     };
     while (eval_idx < eval_times.size() &&
            eval_times[eval_idx] < r - t_eps) {
+      // A segment can hold any number of output points, so the token is
+      // polled per point, not only per segment.
+      runtime::poll_cancel(options_.cancel);
       const double te = eval_times[eval_idx];
       const double ha = te - l;
       if (!observer) {

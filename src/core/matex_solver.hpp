@@ -75,9 +75,9 @@ struct MatexOptions {
   /// mode of Table 1 (every method stepping at 5 ps); production runs
   /// leave it off and enjoy the reuse.
   bool regenerate_at_eval_points = false;
-  /// Polled once per segment step of run(); a fired token aborts the run
-  /// within one step by throwing CancelledError. Null = not cancellable.
-  /// Must outlive the run.
+  /// Polled once per segment and once per output point of run(); a fired
+  /// token aborts the run within one step by throwing CancelledError.
+  /// Null = not cancellable. Must outlive the run.
   const runtime::CancelToken* cancel = nullptr;
 };
 

@@ -144,10 +144,4 @@ bool supernode_panel_factorize(double* panel, std::size_t ld,
   return true;
 }
 
-void SupernodeWorkspace::resize(std::size_t workspace_cells,
-                                std::size_t panel_rows) {
-  if (wbuf_.size() < workspace_cells) wbuf_.resize(workspace_cells);
-  if (z_.size() < panel_rows) z_.resize(panel_rows);
-}
-
 }  // namespace matex::la

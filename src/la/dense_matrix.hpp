@@ -121,29 +121,4 @@ bool supernode_panel_factorize(double* panel, std::size_t ld,
                                std::size_t width, double pivot_tol,
                                double& min_abs_pivot);
 
-/// Reentrant scratch for one in-flight supernode of the blocked refill:
-/// the compressed accumulation workspace (E rows + panel rows + trash
-/// row, per target column) and the gather slice one wide-source update
-/// streams through. The serial kernel owns a single instance; the
-/// parallel refill leases one per panel task from a freelist, so
-/// concurrent tasks never share scratch. Contents are not zeroed on
-/// construction or reuse -- the kernel fills the slice it uses.
-class SupernodeWorkspace {
- public:
-  SupernodeWorkspace() = default;
-  SupernodeWorkspace(std::size_t workspace_cells, std::size_t panel_rows) {
-    resize(workspace_cells, panel_rows);
-  }
-  /// Grows the scratch to `workspace_cells` accumulator doubles and
-  /// `panel_rows` gather doubles (SymbolicLU::max_workspace_cells_ /
-  /// max_panel_rows_ of the plan being refilled).
-  void resize(std::size_t workspace_cells, std::size_t panel_rows);
-
-  double* wbuf() { return wbuf_.data(); }
-  double* z() { return z_.data(); }
-
- private:
-  std::vector<double> wbuf_, z_;
-};
-
 }  // namespace matex::la

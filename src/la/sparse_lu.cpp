@@ -1,20 +1,15 @@
 #include "la/sparse_lu.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <utility>
 
-#include "core/thread_annotations.hpp"
 #include "la/dense_matrix.hpp"
 #include "la/error.hpp"
 #include "obs/trace.hpp"
 #include "runtime/cancel.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace matex::la {
 namespace {
@@ -158,13 +153,10 @@ void SymbolicLU::build_supernode_plan(const CscMatrix& a,
   u_local_.clear();
   l_panel_.clear();
   sn_a_ptr_.assign(1, 0);
-  dep_out_ptr_.clear();
-  dep_out_.clear();
   max_workspace_cells_ = 0;
   max_panel_rows_ = 0;
   sn_stats_ = {};
   blocked_profitable_ = false;
-  parallel_profitable_ = false;
   if (n == 0) return;
 
   const auto l_col = [&](index_t c) {  // L rows incl. the leading diagonal
@@ -399,28 +391,6 @@ void SymbolicLU::build_supernode_plan(const CscMatrix& a,
           sn_rows_[static_cast<std::size_t>(rb + di)])] = -1;
   }
 
-  // Transpose of the task lists: for every source supernode, the ordered
-  // list of targets taking an external update from it. This is the edge
-  // set the parallel schedule walks when a panel retires (decrement each
-  // dependent's pending-source count; a count reaching zero fires that
-  // target's panel task).
-  dep_out_ptr_.assign(static_cast<std::size_t>(ns) + 1, 0);
-  for (const index_t src : task_src_)
-    ++dep_out_ptr_[static_cast<std::size_t>(src) + 1];
-  for (index_t sn = 0; sn < ns; ++sn)
-    dep_out_ptr_[static_cast<std::size_t>(sn) + 1] +=
-        dep_out_ptr_[static_cast<std::size_t>(sn)];
-  dep_out_.resize(task_src_.size());
-  {
-    std::vector<index_t> fill(dep_out_ptr_.begin(), dep_out_ptr_.end() - 1);
-    for (index_t t = 0; t < ns; ++t)
-      for (index_t k = task_ptr_[static_cast<std::size_t>(t)];
-           k < task_ptr_[static_cast<std::size_t>(t) + 1]; ++k)
-        dep_out_[static_cast<std::size_t>(
-            fill[static_cast<std::size_t>(
-                task_src_[static_cast<std::size_t>(k)])]++)] = t;
-  }
-
   // kAuto engages the blocked kernel when the factor is both merged
   // enough for the panels to amortize their bookkeeping and large enough
   // that the scalar replay's scattered access stops being cache-resident
@@ -428,13 +398,6 @@ void SymbolicLU::build_supernode_plan(const CscMatrix& a,
   // below it the scalar replay wins on locality alone).
   blocked_profitable_ = sn_stats_.avg_width(n) >= 1.4 &&
                         sn_stats_.panel_entries >= 64 * 1024;
-  // The parallel crossover sits higher: scheduling a panel task costs a
-  // queue round-trip plus a workspace acquisition, so the pool only pays
-  // past ~4x the blocked cutoff (~2 MB of panel) and when there are
-  // enough supernodes for the elimination tree to expose real task
-  // parallelism. Small meshes stay serial under kAuto.
-  parallel_profitable_ = blocked_profitable_ && ns >= 256 &&
-                         sn_stats_.panel_entries >= 256 * 1024;
 }
 
 SparseLU::SparseLU(const CscMatrix& a, SparseLuOptions options) {
@@ -459,21 +422,10 @@ SparseLU::SparseLU(const CscMatrix& a,
       (options.supernodal == SupernodalMode::kAuto &&
        sym_->blocked_profitable_);
   if (blocked && sym_->num_supernodes() > 0) {
-    // The pool engages past its own crossover under kAuto (scheduling
-    // overhead amortizes only on meshes with real task parallelism);
-    // kAlways schedules whenever a pool is supplied, which is what the
-    // thread-count identity tests pin down on small matrices.
-    const bool parallel =
-        options.pool != nullptr &&
-        (options.supernodal == SupernodalMode::kAlways ||
-         sym_->parallel_profitable_);
-    const bool ok = parallel ? refactor_numeric_blocked_parallel(a, options)
-                             : refactor_numeric_blocked(a, options);
-    if (ok) {
+    if (refactor_numeric_blocked(a, options)) {
       refactored_ = true;
       supernodal_ = true;
-      parallel_ = parallel;
-      span.arg("kernel", parallel ? "blocked-parallel" : "blocked");
+      span.arg("kernel", "blocked");
       return;
     }
     // Pivot-tolerance trip in the blocked kernel: fall back to the
@@ -757,7 +709,7 @@ bool SparseLU::refill_supernode(const CscMatrix& a,
 
   // Scatter the A columns into the workspace. a_scatter_ is laid out in
   // the supernode-major walk order; sn_a_ptr_ locates this supernode's
-  // slice so a panel task scheduled out of sequence reads the same slots.
+  // slice.
   std::size_t a_cursor =
       static_cast<std::size_t>(s.sn_a_ptr_[static_cast<std::size_t>(sn)]);
   for (index_t t = 0; t < w; ++t) {
@@ -873,8 +825,9 @@ bool SparseLU::refactor_numeric_blocked(const CscMatrix& a,
   // outside the target structure land there carrying exact zeros). All
   // scatter indices were resolved at analysis time, so the numeric pass
   // only streams through precomputed index arrays.
-  SupernodeWorkspace ws(static_cast<std::size_t>(s.max_workspace_cells_),
-                        static_cast<std::size_t>(s.max_panel_rows_));
+  std::vector<double> wbuf(static_cast<std::size_t>(s.max_workspace_cells_));
+  // Gather slice one wide-source update streams through.
+  std::vector<double> z(static_cast<std::size_t>(s.max_panel_rows_));
   // Pooled scaled L panels, one trapezoid per supernode; cells without an
   // exact entry stay exactly zero, so their updates multiply by 0 and can
   // at most flip the sign of an exact zero (== - invisible).
@@ -884,183 +837,11 @@ bool SparseLU::refactor_numeric_blocked(const CscMatrix& a,
 
   for (index_t sn = 0; sn < ns; ++sn) {
     runtime::poll_cancel(options.cancel);
-    if (!refill_supernode(a, options, sn, ws.wbuf(), ws.z(), panels.data(),
-                          min_pivot))
+    if (!refill_supernode(a, options, sn, wbuf.data(), z.data(),
+                          panels.data(), min_pivot))
       return false;
   }
 
-  min_pivot_ = min_pivot;
-  fill_ratio_ = a.nnz() == 0
-                    ? 0.0
-                    : static_cast<double>(s.l_rows_.size() +
-                                          s.u_rows_.size()) /
-                          static_cast<double>(a.nnz());
-  return true;
-}
-
-bool SparseLU::refactor_numeric_blocked_parallel(
-    const CscMatrix& a, const SparseLuOptions& options) {
-  MATEX_CHECK(options.refactor_pivot_tol > 0.0 &&
-                  options.refactor_pivot_tol <= 1.0,
-              "refactor_pivot_tol must be in (0, 1]");
-  runtime::ThreadPool& pool = *options.pool;
-  const SymbolicLU& s = *sym_;
-  const index_t ns = s.num_supernodes();
-  l_vals_.assign(s.l_rows_.size(), 0.0);
-  u_vals_.assign(s.u_rows_.size(), 0.0);
-  std::vector<double> panels(
-      static_cast<std::size_t>(s.sn_panel_ptr_.back()), 0.0);
-
-  // Bottom-up schedule over the supernodal elimination tree. Every
-  // supernode is one panel task; its dependency count is its number of
-  // external update sources (task_ptr_ run length). A task runs the
-  // exact serial per-supernode kernel -- scatter A, apply all external
-  // updates in ascending source order, factorize, write out -- so the
-  // floating-point sequence per supernode is identical to the serial
-  // path regardless of thread count or completion order. When a panel
-  // retires it decrements each dependent's count (dep_out_ transpose);
-  // a count reaching zero means the dependent's last external update
-  // source is final, and its task fires. Writers never share cells:
-  // panels, l_vals_ and u_vals_ are sliced per supernode, and each task
-  // owns a private workspace leased from a freelist.
-  struct Shared {
-    std::vector<std::atomic<index_t>> deps;
-    std::atomic<long long> inflight{0};
-    std::atomic<bool> abort{false};
-    std::atomic<bool> pivot_trip{false};
-    core::Mutex mutex;
-    std::exception_ptr error MATEX_GUARDED_BY(mutex);
-    double min_pivot MATEX_GUARDED_BY(mutex) =
-        std::numeric_limits<double>::infinity();
-    std::vector<std::unique_ptr<SupernodeWorkspace>> workspaces
-        MATEX_GUARDED_BY(mutex);
-  };
-  Shared st;
-  st.deps = std::vector<std::atomic<index_t>>(static_cast<std::size_t>(ns));
-  for (index_t sn = 0; sn < ns; ++sn)
-    st.deps[static_cast<std::size_t>(sn)].store(
-        s.task_ptr_[static_cast<std::size_t>(sn) + 1] -
-            s.task_ptr_[static_cast<std::size_t>(sn)],
-        std::memory_order_relaxed);
-
-  std::function<void(index_t)> panel_task;
-  const auto spawn = [&](index_t sn) {
-    // relaxed increment: the quiesce loop only needs to see it before the
-    // task can retire, and the pool's queue mutex publishes both together
-    // with the task itself.
-    st.inflight.fetch_add(1, std::memory_order_relaxed);
-    try {
-      pool.submit([&panel_task, sn] { panel_task(sn); });
-      // matex-lint: allow(catch-all): rollback-and-rethrow -- the
-      // increment above is undone so the quiesce loop cannot hang, then
-      // the submit failure propagates untouched to the seeding loop.
-    } catch (...) {
-      st.inflight.fetch_sub(1, std::memory_order_release);
-      throw;
-    }
-  };
-  panel_task = [&](index_t sn) {
-    try {
-      // relaxed: a work-avoidance hint. The authoritative error/trip
-      // state travels under st.mutex and via the inflight quiesce below.
-      if (!st.abort.load(std::memory_order_relaxed)) {
-        MATEX_SPAN("panel", "sn", sn, "w",
-                   s.sn_ptr_[static_cast<std::size_t>(sn) + 1] -
-                       s.sn_ptr_[static_cast<std::size_t>(sn)]);
-        // Panel-task boundary: a fired token unwinds the whole refill
-        // (every task bails via `abort`) within one task's latency.
-        runtime::poll_cancel(options.cancel);
-        std::unique_ptr<SupernodeWorkspace> ws;
-        {
-          const core::MutexLock lock(st.mutex);
-          if (!st.workspaces.empty()) {
-            ws = std::move(st.workspaces.back());
-            st.workspaces.pop_back();
-          }
-        }
-        if (!ws)
-          ws = std::make_unique<SupernodeWorkspace>(
-              static_cast<std::size_t>(s.max_workspace_cells_),
-              static_cast<std::size_t>(s.max_panel_rows_));
-        double local_min = std::numeric_limits<double>::infinity();
-        const bool ok = refill_supernode(a, options, sn, ws->wbuf(),
-                                         ws->z(), panels.data(), local_min);
-        {
-          const core::MutexLock lock(st.mutex);
-          st.min_pivot = std::min(st.min_pivot, local_min);
-          st.workspaces.push_back(std::move(ws));
-        }
-        if (!ok) {
-          // Pivot-tolerance trip: abandon the refill. The caller falls
-          // back to the scalar replay, which sees the same values
-          // through the same operation sequence and trips on the same
-          // column. relaxed: the authoritative read of pivot_trip happens
-          // after the quiesce, whose release/acquire pair on inflight
-          // orders these stores before it.
-          st.pivot_trip.store(true, std::memory_order_relaxed);
-          st.abort.store(true, std::memory_order_relaxed);
-        } else {
-          for (index_t e = s.dep_out_ptr_[static_cast<std::size_t>(sn)];
-               e < s.dep_out_ptr_[static_cast<std::size_t>(sn) + 1]; ++e) {
-            const index_t t = s.dep_out_[static_cast<std::size_t>(e)];
-            // acq_rel: release publishes this panel's writes to whoever
-            // decrements last; acquire makes every earlier source's
-            // writes (released by their decrements of the same counter)
-            // visible to the task the final decrement fires.
-            if (st.deps[static_cast<std::size_t>(t)].fetch_sub(
-                    1, std::memory_order_acq_rel) == 1)
-              spawn(t);
-          }
-        }
-      }
-      // matex-lint: allow(catch-all): capture-and-rethrow -- the first
-      // exception is stored verbatim under st.mutex and rethrown after
-      // the quiesce; classifying it belongs to the factor-cache funnel.
-    } catch (...) {
-      st.abort.store(true, std::memory_order_relaxed);
-      const core::MutexLock lock(st.mutex);
-      if (!st.error) st.error = std::current_exception();
-    }
-    // release: retirement point -- pairs with the quiesce loop's acquire
-    // load, so inflight == 0 implies every panel write has landed.
-    st.inflight.fetch_sub(1, std::memory_order_release);
-  };
-
-  // Seed the leaves and help the pool until every spawned task has
-  // retired -- also on abort or error, so no task can outlive the shared
-  // state on this frame. Leaves are the *structurally* source-free
-  // supernodes: seeding off the live counters instead would double-spawn
-  // a target whose last source retires while this loop is still running
-  // (its own fetch_sub already fired the task).
-  try {
-    for (index_t sn = 0; sn < ns; ++sn)
-      if (s.task_ptr_[static_cast<std::size_t>(sn) + 1] ==
-          s.task_ptr_[static_cast<std::size_t>(sn)])
-        spawn(sn);
-    // matex-lint: allow(catch-all): quiesce-and-rethrow -- in-flight
-    // tasks must retire before this frame's shared state unwinds; the
-    // seeding failure then propagates untouched.
-  } catch (...) {
-    st.abort.store(true, std::memory_order_relaxed);
-    pool.help_until(
-        [&] { return st.inflight.load(std::memory_order_acquire) == 0; });
-    throw;
-  }
-  // acquire: pairs with each task's release retirement, so everything the
-  // tasks wrote (panels, error, trip flags) is visible past this line.
-  pool.help_until(
-      [&] { return st.inflight.load(std::memory_order_acquire) == 0; });
-
-  std::exception_ptr error;
-  double min_pivot = 0.0;
-  {
-    const core::MutexLock lock(st.mutex);
-    error = st.error;
-    min_pivot = st.min_pivot;
-  }
-  if (error) std::rethrow_exception(error);
-  // relaxed: ordered by the quiesce above.
-  if (st.pivot_trip.load(std::memory_order_relaxed)) return false;
   min_pivot_ = min_pivot;
   fill_ratio_ = a.nnz() == 0
                     ? 0.0

@@ -46,7 +46,6 @@
 #include "la/sparse_csc.hpp"
 
 namespace matex::runtime {
-class ThreadPool;   // runtime/thread_pool.hpp
 class CancelToken;  // runtime/cancel.hpp
 }  // namespace matex::runtime
 
@@ -88,20 +87,9 @@ struct SparseLuOptions {
   double amalg_relax = 0.15;
   /// Maximum supernode width (panel columns); bounds the dense workspace.
   index_t amalg_max_width = 32;
-  /// When non-null, the blocked numeric refactorization schedules its
-  /// per-supernode panel tasks onto this pool, bottom-up over the
-  /// supernodal elimination tree. Results are bitwise-identical to the
-  /// serial blocked kernel at every thread count. Under kAuto the
-  /// parallel path additionally requires the analysis to clear the
-  /// parallel crossover (SymbolicLU::parallel_profitable()); kAlways
-  /// engages it whenever a plan exists. The pool must outlive the
-  /// constructor call; it is not retained.
-  runtime::ThreadPool* pool = nullptr;
-  /// When non-null, the blocked refill polls this token at panel-task
-  /// boundaries (each supernode of the serial kernel, each scheduled
-  /// task of the parallel one), so a fired token unwinds the
-  /// factorization with CancelledError within one solver step even when
-  /// the refill itself is multi-threaded. Not retained.
+  /// When non-null, the blocked refill polls this token once per
+  /// supernode, so a fired token unwinds the factorization with
+  /// CancelledError within one solver step. Not retained.
   const runtime::CancelToken* cancel = nullptr;
 };
 
@@ -163,18 +151,12 @@ class SymbolicLU {
            vec(sn_rows_ptr_) + vec(sn_rows_) + vec(sn_panel_ptr_) +
            vec(sn_ne_) + vec(task_ptr_) + vec(task_src_) + vec(task_u0_ptr_) +
            vec(task_u0_) + vec(task_dst_ptr_) + vec(task_dst_) +
-           vec(a_scatter_) + vec(u_local_) + vec(l_panel_) + vec(sn_a_ptr_) +
-           vec(dep_out_ptr_) + vec(dep_out_);
+           vec(a_scatter_) + vec(u_local_) + vec(l_panel_) + vec(sn_a_ptr_);
   }
   /// True when SupernodalMode::kAuto engages the blocked kernel: enough
   /// columns merged into multi-column panels to pay for the panel
   /// gather/scatter bookkeeping.
   bool supernodal_profitable() const { return blocked_profitable_; }
-  /// True when SupernodalMode::kAuto additionally schedules the blocked
-  /// refill onto a thread pool (when SparseLuOptions::pool is set):
-  /// enough independent supernode tasks, and enough panel work per task,
-  /// that the scheduling overhead amortizes. Small meshes stay serial.
-  bool parallel_profitable() const { return parallel_profitable_; }
 
  private:
   friend class SparseLU;
@@ -240,25 +222,13 @@ class SymbolicLU {
   //  - l_panel_: aligned with l_rows_; panel row of each off-diagonal L
   //    entry (the leading unit-diagonal slot is unused).
   std::vector<index_t> a_scatter_, u_local_, l_panel_;
-  // ---- Parallel schedule over the supernodal elimination tree.
-  //  - sn_a_ptr_: per-supernode offset into a_scatter_ (the serial kernel
-  //    walks a_scatter_ with a running cursor; a panel task scheduled out
-  //    of sequence starts at sn_a_ptr_[sn]);
-  //  - dep_out_ptr_/dep_out_: CSR transpose of the task lists -- the
-  //    targets taking an external update from supernode sn are
-  //    dep_out_[dep_out_ptr_[sn] .. dep_out_ptr_[sn+1]), ascending. A
-  //    target's dependency count is just its task count
-  //    (task_ptr_[T+1] - task_ptr_[T]), so retiring a source is one
-  //    atomic decrement per dependent, not a lock scan; the target's
-  //    panel task fires when its count reaches zero (its last external
-  //    update has retired, every source panel it reads is final).
+  // Per-supernode offset into a_scatter_: supernode sn's A entries are
+  // a_scatter_[sn_a_ptr_[sn] .. sn_a_ptr_[sn+1]).
   std::vector<index_t> sn_a_ptr_;
-  std::vector<index_t> dep_out_ptr_, dep_out_;
   index_t max_workspace_cells_ = 0;  ///< max (ne + rows + 1) * width
   index_t max_panel_rows_ = 0;       ///< tallest panel (gather scratch size)
   SupernodeStats sn_stats_;
   bool blocked_profitable_ = false;
-  bool parallel_profitable_ = false;
 };
 
 /// Reusable scratch for the sparse-right-hand-side solve (reach stacks,
@@ -310,14 +280,6 @@ class SparseLU {
   /// result compares equal under == (the blocked path may flip the sign
   /// of exact zeros via padded panel cells, which == ignores).
   bool refactored_supernodal() const { return supernodal_; }
-
-  /// True if the blocked refill was scheduled across SparseLuOptions::pool
-  /// (per-supernode panel tasks over the elimination tree) rather than
-  /// run on the calling thread. Parallel and serial blocked refills are
-  /// bitwise-identical at every thread count: each supernode's panel is
-  /// produced by exactly the serial per-supernode operation sequence, and
-  /// a task only fires once every source panel it reads is final.
-  bool refactored_parallel() const { return parallel_; }
 
   /// The shared symbolic analysis (never null).
   const std::shared_ptr<const SymbolicLU>& symbolic() const { return sym_; }
@@ -393,25 +355,16 @@ class SparseLU {
   bool refactor_numeric(const CscMatrix& a, const SparseLuOptions& options);
   /// Blocked supernodal refill along sym_'s supernode plan: dense
   /// rank-k panel updates instead of per-entry scatter. Same return
-  /// contract as refactor_numeric.
+  /// contract as refactor_numeric; throws CancelledError when
+  /// options.cancel fires mid-refill.
   bool refactor_numeric_blocked(const CscMatrix& a,
                                 const SparseLuOptions& options);
-  /// Parallel blocked refill: the same per-supernode kernel scheduled
-  /// onto options.pool bottom-up over the supernodal elimination tree
-  /// (leaf subtrees concurrently, a panel task firing when its last
-  /// external update source retires). Bitwise-identical to the serial
-  /// blocked kernel; same return contract. Rethrows CancelledError when
-  /// options.cancel fires mid-refill.
-  bool refactor_numeric_blocked_parallel(const CscMatrix& a,
-                                         const SparseLuOptions& options);
   /// One supernode of the blocked refill: scatter A, apply the external
   /// update tasks in ascending source order, factorize the panel, write
-  /// the factor values. Shared verbatim by the serial loop and the
-  /// parallel panel tasks -- the single source of the floating-point
-  /// operation sequence that keeps them bitwise-identical. `wbuf`/`z`
-  /// are caller-owned scratch (max_workspace_cells_ / max_panel_rows_
-  /// doubles); `min_pivot` accumulates the smallest |pivot| seen.
-  /// Returns false on a pivot-tolerance trip.
+  /// the factor values. `wbuf`/`z` are caller-owned scratch
+  /// (max_workspace_cells_ / max_panel_rows_ doubles); `min_pivot`
+  /// accumulates the smallest |pivot| seen. Returns false on a
+  /// pivot-tolerance trip.
   bool refill_supernode(const CscMatrix& a, const SparseLuOptions& options,
                         index_t sn, double* wbuf, double* z, double* panels,
                         double& min_pivot);
@@ -423,7 +376,6 @@ class SparseLU {
   double min_pivot_ = 0.0;
   bool refactored_ = false;
   bool supernodal_ = false;
-  bool parallel_ = false;
 };
 
 }  // namespace matex::la

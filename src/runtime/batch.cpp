@@ -165,12 +165,9 @@ void BatchEngine::prewarm_factors(std::span<const ScenarioSpec> scenarios,
             key.deck_index, std::bit_cast<double>(key.vdd_bits));
         const std::uint64_t fp_g = fingerprint(mna.g());
         const std::uint64_t fp_c = fingerprint(mna.c());
-        // Thread the shared pool and the campaign token into the
-        // factorization itself: a refill past the parallel crossover
-        // schedules its panel tasks across this same pool, and a token
-        // fired mid-refill unwinds at the next panel-task boundary.
+        // Thread the campaign token into the factorization itself: a
+        // token fired mid-refill unwinds at the next supernode.
         la::SparseLuOptions lu = key.lu;
-        lu.pool = pool_;
         lu.cancel = cancel;
         cache_.g_factors(fp_g, mna.g(), lu);
         for (const auto& [kind, gamma] : requests)
@@ -321,8 +318,7 @@ BatchReport BatchEngine::run(std::span<const ScenarioSpec> scenarios,
 
           core::SchedulerOptions opts = spec.scheduler;
           opts.factor_cache = &cache_;
-          opts.pool = options_.nodes_on_pool ? pool_ : nullptr;
-          if (!options_.nodes_on_pool) opts.parallelism = 1;
+          opts.pool = pool_;
           opts.trace_label = trace_label;
           opts.cancel = &scenario_cancel;
 

@@ -50,11 +50,6 @@ struct BatchOptions {
   /// Factorization-cache capacity (distinct factorizations kept resident).
   /// 0 disables caching -- the uncached baseline for benches.
   std::size_t cache_capacity = FactorCache::kDefaultCapacity;
-  /// If true (default), each scenario's node subtasks run on the shared
-  /// pool too, so a campaign smaller than the machine still uses every
-  /// core. If false, nodes run inline in their scenario's task
-  /// (scenario-level parallelism only).
-  bool nodes_on_pool = true;
   /// If true (default), run() pre-warms the factorization cache before
   /// the scenario fan-out: the decks' matrices are assembled and their
   /// LU(G) / Krylov-operator factorizations computed up front (parallel

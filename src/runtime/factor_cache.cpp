@@ -111,7 +111,6 @@ std::shared_ptr<la::SparseLU> FactorCache::factorize_with_symbolic(
   if (lu->refactored()) {
     ++stats_.symbolic_hits;
     if (lu->refactored_supernodal()) ++stats_.supernodal_refactors;
-    if (lu->refactored_parallel()) ++stats_.parallel_refactors;
     return lu;
   }
   if (had_symbolic) ++stats_.refactor_fallbacks;

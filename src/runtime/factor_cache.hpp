@@ -81,10 +81,6 @@ struct FactorCacheStats {
   /// Symbolic hits whose refill ran the blocked supernodal kernel
   /// (subset of symbolic_hits; the rest replayed column-at-a-time).
   long long supernodal_refactors = 0;
-  /// Supernodal refills scheduled across a thread pool (subset of
-  /// supernodal_refactors; SparseLuOptions::pool was set and the plan
-  /// cleared the parallel crossover).
-  long long parallel_refactors = 0;
   /// Leader factorizations that threw a non-cancellation error (the
   /// classified kind is traced as cache.factor_error and the exception
   /// rethrown; the slot is removed so a retry factorizes afresh).

@@ -100,7 +100,6 @@ TransientStats run_fixed_step(const circuit::MnaSystem& mna,
       if (lu->refactored()) {
         ++stats.refactorizations;
         if (lu->refactored_supernodal()) ++stats.supernodal_refactorizations;
-        if (lu->refactored_parallel()) ++stats.parallel_refactorizations;
       }
     }
     switch (method) {

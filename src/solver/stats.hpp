@@ -37,9 +37,6 @@ struct TransientStats {
                                   ///< (subset of factorizations)
   long long supernodal_refactorizations = 0;  ///< refactorizations served
                                               ///< by the blocked kernel
-  long long parallel_refactorizations = 0;    ///< blocked refactorizations
-                                              ///< scheduled across a thread
-                                              ///< pool (subset of supernodal)
   long long solves = 0;           ///< pairs of fwd/bwd substitutions
   long long krylov_subspaces = 0; ///< Krylov subspaces generated
   long long krylov_dim_total = 0; ///< sum of converged dimensions
@@ -63,7 +60,6 @@ struct TransientStats {
     factorizations += other.factorizations;
     refactorizations += other.refactorizations;
     supernodal_refactorizations += other.supernodal_refactorizations;
-    parallel_refactorizations += other.parallel_refactorizations;
     solves += other.solves;
     krylov_subspaces += other.krylov_subspaces;
     krylov_dim_total += other.krylov_dim_total;

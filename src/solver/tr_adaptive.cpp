@@ -61,8 +61,6 @@ TransientStats run_adaptive_trapezoidal(const circuit::MnaSystem& mna,
   MATEX_CHECK(options.t_end > options.t_start, "t_end must exceed t_start");
   MATEX_CHECK(options.h_init > 0.0, "h_init must be positive");
   MATEX_CHECK(options.lte_tol > 0.0, "lte_tol must be positive");
-  MATEX_CHECK(options.refactor_hysteresis >= 1.0,
-              "refactor_hysteresis must be >= 1");
   MATEX_CHECK(std::is_sorted(options.output_times.begin(),
                              options.output_times.end()),
               "output_times must be sorted");
@@ -103,7 +101,6 @@ TransientStats run_adaptive_trapezoidal(const circuit::MnaSystem& mna,
       if (lu->refactored()) {
         ++stats.refactorizations;
         if (lu->refactored_supernodal()) ++stats.supernodal_refactorizations;
-        if (lu->refactored_parallel()) ++stats.parallel_refactorizations;
       }
     } else {
       lu = std::make_unique<la::SparseLU>(sys, options.lu_options);
@@ -171,21 +168,10 @@ TransientStats run_adaptive_trapezoidal(const circuit::MnaSystem& mna,
 
     double h_use = std::clamp(h_desired, h_min, h_max);
     const double gap = boundary - t;
-    // Step-size hysteresis: keep the factored step when it is close
-    // enough, avoiding a re-factorization -- but only when the kept step
-    // lands cleanly: either at least h_min short of the boundary (no
-    // sub-h_min sliver stranded in front of the transition spot) or on
-    // the boundary itself to within t_eps. Re-checking the boundary here
-    // means a kept factorization can never overshoot a transition spot.
-    if (factored_h > 0.0 &&
-        h_use <= factored_h * options.refactor_hysteresis &&
-        h_use >= factored_h / options.refactor_hysteresis &&
-        (factored_h <= gap - h_min || std::abs(factored_h - gap) <= t_eps))
-      h_use = factored_h;
     // Boundary shaving: a step ending inside (boundary - h_min, boundary)
     // would leave a sliver smaller than h_min whose 1/h blows up the
     // shifted system; stretch such steps to land exactly on the boundary
-    // instead (unless the kept step already lands there within t_eps).
+    // instead (unless the step already lands there within t_eps).
     // When the boundary lies beyond h_max the stretch must not violate
     // the user's step-size cap: split the remaining gap in two instead
     // (gap < h_max + h_min, so the half step respects h_max and the

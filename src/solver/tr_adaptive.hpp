@@ -32,9 +32,6 @@ struct AdaptiveTrOptions {
   /// Land exactly on input transition spots (PWL breakpoints); stepping
   /// across a slope change would poison the LTE estimate.
   bool align_to_transitions = true;
-  /// Only re-factorize when the step changes by more than this factor
-  /// (hysteresis); 1.0 refactors on every change.
-  double refactor_hysteresis = 1.0;
   la::SparseLuOptions lu_options;
   /// Output sample times (sorted ascending). The observer is called at
   /// these times with linearly interpolated states. If empty, the observer

@@ -8,6 +8,7 @@
 #include "core/input_view.hpp"
 #include "core/matex_solver.hpp"
 #include "la/error.hpp"
+#include "runtime/cancel.hpp"
 #include "solver/dc.hpp"
 #include "solver/fixed_step.hpp"
 #include "solver/observer.hpp"
@@ -252,6 +253,38 @@ TEST(MatexSolver, QuietEquilibriumSegmentsAreFree) {
   EXPECT_EQ(stats.krylov_subspaces, 0);
   for (std::size_t i = 0; i < rec.sample_count(); ++i)
     EXPECT_NEAR(rec.state(i)[0], dc.x[0], 1e-12);
+}
+
+TEST(MatexSolver, CancelIsPolledAtEveryOutputPoint) {
+  // One segment (DC sources only) holding 10 000 output points: a token
+  // fired from the observer at point k must stop the run at the next
+  // point, not at the end of the segment.
+  Netlist deck;
+  deck.add_voltage_source("Vdd", "p", "0", Waveform::dc(1.0));
+  deck.add_resistor("R1", "p", "n1", 1.0);
+  deck.add_capacitor("C1", "n1", "0", 1.0);
+  deck.add_current_source("I1", "n1", "0", Waveform::dc(0.1));
+  const MnaSystem mna(deck);
+  const auto dc = solver::dc_operating_point(mna);
+  runtime::CancelToken token;
+  MatexOptions opt;
+  opt.kind = KrylovKind::kRational;
+  opt.gamma = 0.1;
+  opt.cancel = &token;
+  const MatexCircuitSolver solver(mna, opt, dc.g_factors);
+  const FullInput input(mna);
+  const std::vector<double> x0(static_cast<std::size_t>(mna.dimension()),
+                               0.0);
+  const auto grid = uniform_grid(0.0, 9999.0, 1.0);
+  ASSERT_EQ(grid.size(), 10000u);
+  const std::size_t k = 100;
+  std::size_t seen = 0;
+  const solver::Observer observer = [&](double, std::span<const double>) {
+    if (++seen == k) token.cancel();
+  };
+  EXPECT_THROW(solver.run(x0, 0.0, 9999.0, input, grid, observer),
+               CancelledError);
+  EXPECT_LE(seen, k + 1);
 }
 
 TEST(MatexSolver, SingularCHandledWithoutRegularization) {

@@ -313,15 +313,14 @@ TEST(Cancellation, DeadlineStopsALongRunWithinASolverStep) {
   EXPECT_LT(sw.seconds(), 10.0);
 }
 
-TEST(Cancellation, DeadlineStopsAParallelRefactorRunWithinAStep) {
-  // The within-one-step deadline contract with the parallel blocked
-  // refill in the loop: lu_options carry the shared pool and the same
-  // token, so the deadline is honored both at step boundaries and at
-  // panel-task boundaries inside a refactorization.
+TEST(Cancellation, DeadlineStopsABlockedRefactorRunWithinAStep) {
+  // The within-one-step deadline contract with the blocked refill in the
+  // loop: lu_options carry the same token, so the deadline is honored
+  // both at step boundaries and at supernode boundaries inside a
+  // refactorization.
   const Netlist n = make_pdn();
   const MnaSystem mna(n);
   const auto dc = solver::dc_operating_point(mna);
-  ThreadPool pool(2);
   CancelToken token;
   token.set_deadline_after(0.05);
 
@@ -330,17 +329,12 @@ TEST(Cancellation, DeadlineStopsAParallelRefactorRunWithinAStep) {
   opt.h = 1e-4;
   opt.cancel = &token;
   opt.lu_options.supernodal = la::SupernodalMode::kAlways;
-  opt.lu_options.pool = &pool;
   opt.lu_options.cancel = &token;
   const solver::Stopwatch sw;
   EXPECT_THROW(run_fixed_step(mna, dc.x, solver::StepMethod::kTrapezoidal,
                               opt, solver::Observer()),
                CancelledError);
   EXPECT_LT(sw.seconds(), 10.0);
-  // The pool is idle and reusable after the unwind.
-  pool.wait_idle();
-  auto ok = pool.submit([] { return 1; });
-  EXPECT_EQ(pool.await(ok), 1);
 }
 
 TEST(Cancellation, CrossThreadCancelUnblocksScheduler) {

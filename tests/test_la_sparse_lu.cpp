@@ -9,6 +9,7 @@
 #include "la/dense_lu.hpp"
 #include "la/error.hpp"
 #include "la/vector_ops.hpp"
+#include "runtime/cancel.hpp"
 #include "test_util.hpp"
 
 namespace matex::la {
@@ -422,6 +423,25 @@ TEST(SupernodalRefactor, PivotViolationFallsBackAndRecovers) {
   std::vector<double> b{1.0, 2.0};
   const auto x = fallback.solve(b);
   EXPECT_LE(norm_inf(residual(a2, x, b)), 1e-12);
+}
+
+TEST(SupernodalRefactor, FiredTokenUnwindsTheRefillAndTheFactorsRecover) {
+  // The blocked kernel polls the token once per supernode: a fired token
+  // makes the refill throw CancelledError instead of returning partial
+  // factors, and the same symbolic analysis refills fine once the token
+  // is out of the picture.
+  const auto a = testing::grid_laplacian(10, 10);
+  SparseLuOptions opt;
+  opt.supernodal = SupernodalMode::kAlways;
+  const SparseLU fresh(a, opt);
+  runtime::CancelToken token;
+  token.cancel();
+  SparseLuOptions cancelled = opt;
+  cancelled.cancel = &token;
+  EXPECT_THROW(SparseLU(a, fresh.symbolic(), cancelled), CancelledError);
+  const SparseLU again(a, fresh.symbolic(), opt);
+  EXPECT_TRUE(again.refactored_supernodal());
+  EXPECT_EQ(again.min_abs_pivot(), fresh.min_abs_pivot());
 }
 
 TEST(SupernodalRefactor, AutoModeSkipsThinPlans) {

@@ -192,6 +192,25 @@ TEST(FactorCache, SymbolicAnalysisSharedAcrossSamePatternValues) {
     EXPECT_NEAR(back[i], b[i], 1e-9);
 }
 
+TEST(FactorCache, CountsSupernodalRefills) {
+  // The cache threads SparseLuOptions through to the refill, so a
+  // same-pattern second request pinned to the blocked kernel shows up in
+  // stats().supernodal_refactors.
+  const auto a = testing::grid_laplacian(10, 12);
+  const auto a2 = with_same_pattern_values(a, 2.0);
+  la::SparseLuOptions opt;
+  opt.supernodal = la::SupernodalMode::kAlways;
+  FactorCache cache;
+  cache.g_factors(a, opt);   // miss: full factorization, caches symbolic
+  cache.g_factors(a2, opt);  // same pattern: blocked refill
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2);
+  EXPECT_EQ(stats.symbolic_hits, 1);
+  EXPECT_EQ(stats.supernodal_refactors, 1);
+  EXPECT_EQ(stats.factor_errors, 0);
+  EXPECT_EQ(stats.factor_cancellations, 0);
+}
+
 TEST(FactorCache, CapacityZeroSkipsSymbolicCacheToo) {
   testing::Rng rng(22);
   const auto c = testing::random_sparse_spd_like(20, 0.2, rng);

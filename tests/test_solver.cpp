@@ -510,36 +510,6 @@ TEST(AdaptiveTr, StretchedStepsRespectHmax) {
   EXPECT_TRUE(found) << "missing transition spot";
 }
 
-TEST(AdaptiveTr, HysteresisReducesFactorizations) {
-  Netlist n;
-  n.add_voltage_source("V1", "a", "0", Waveform::dc(1.0));
-  n.add_resistor("R1", "a", "b", 1.0);
-  n.add_capacitor("C1", "b", "0", 0.5);
-  PulseSpec s;
-  s.v1 = 0.0;
-  s.v2 = 0.3;
-  s.delay = 0.3;
-  s.rise = 0.1;
-  s.width = 0.2;
-  s.fall = 0.1;
-  s.period = 1.0;
-  n.add_current_source("I1", "b", "0", Waveform::pulse(s));
-  const MnaSystem mna(n);
-  const auto dc = dc_operating_point(mna);
-
-  AdaptiveTrOptions strict;
-  strict.t_end = 5.0;
-  strict.h_init = 1e-3;
-  strict.lte_tol = 1e-5;
-  const auto s1 = run_adaptive_trapezoidal(mna, dc.x, strict, nullptr);
-
-  AdaptiveTrOptions relaxed = strict;
-  relaxed.refactor_hysteresis = 2.0;
-  const auto s2 = run_adaptive_trapezoidal(mna, dc.x, relaxed, nullptr);
-
-  EXPECT_LT(s2.factorizations, s1.factorizations);
-}
-
 TEST(AdaptiveTr, SupernodalRefactorMatchesScalarAndIsCounted) {
   // Step-size changes refactorize C/h + G/2 along one cached analysis;
   // with the kernel pinned to kAlways vs kNever the trajectories must
