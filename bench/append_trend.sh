@@ -47,7 +47,6 @@ jq -c --arg pr "$pr_label" --arg date "$(date -u +%Y-%m-%d)" \
   date: $date,
   n: .mesh.n,
   refactor_speedup: .factorization.refactor_speedup,
-  blocked_vs_scalar_speedup: .factorization.blocked_vs_scalar_speedup,
   supernode_avg_width: .supernodes.avg_width,
   sparse_rhs_vs_dense_ratio: .solve.sparse_rhs_vs_dense_ratio,
   solves_per_second: .solve.solves_per_second,

@@ -170,71 +170,9 @@ int main(int argc, char** argv) try {
     }
   }
 
-  // ------------------------------- blocked vs scalar numeric refill
-  // Kernel pinned per run: the scalar column-at-a-time replay against
-  // the supernodal panel kernel, on a mesh 8x the base scale -- the
-  // factor has to outgrow the last-level-cache regime the scalar replay
-  // is happiest in before panels can pay (that crossover is exactly what
-  // SupernodalMode::kAuto encodes). Results must agree bitwise (same
-  // operation sequence).
-  auto sn_spec = pgbench::table_benchmark_spec(2, 8.0 * scale);
-  const auto sn_netlist = pgbench::generate_power_grid(sn_spec);
-  const circuit::MnaSystem sn_mna(sn_netlist);
-  const std::size_t sn_n = static_cast<std::size_t>(sn_mna.dimension());
-  std::vector<la::CscMatrix> sn_sweep;
-  sn_sweep.reserve(kSweep);
-  for (int i = 0; i < kSweep; ++i)
-    sn_sweep.push_back(la::add_scaled(1.0, sn_mna.c(),
-                                      gamma0 * (1.0 + 0.5 * i), sn_mna.g()));
-  const auto sn_symbolic =
-      la::SparseLU(sn_sweep.front()).symbolic();
-  la::SparseLuOptions scalar_opt, blocked_opt;
-  scalar_opt.supernodal = la::SupernodalMode::kNever;
-  blocked_opt.supernodal = la::SupernodalMode::kAlways;
-  constexpr int kRefillReps = 3;
-  clock.restart();
-  std::vector<std::unique_ptr<la::SparseLU>> scalar_refills;
-  for (int rep = 0; rep < kRefillReps; ++rep) {
-    scalar_refills.clear();
-    for (const auto& m : sn_sweep)
-      scalar_refills.push_back(
-          std::make_unique<la::SparseLU>(m, sn_symbolic, scalar_opt));
-  }
-  const double scalar_refactor_seconds =
-      clock.seconds() / (kSweep * kRefillReps);
-  clock.restart();
-  std::vector<std::unique_ptr<la::SparseLU>> blocked_refills;
-  for (int rep = 0; rep < kRefillReps; ++rep) {
-    blocked_refills.clear();
-    for (const auto& m : sn_sweep)
-      blocked_refills.push_back(
-          std::make_unique<la::SparseLU>(m, sn_symbolic, blocked_opt));
-  }
-  const double blocked_refactor_seconds =
-      clock.seconds() / (kSweep * kRefillReps);
-  const double blocked_vs_scalar_speedup =
-      scalar_refactor_seconds / blocked_refactor_seconds;
-
-  bool blocked_all_supernodal = true;
-  bool blocked_bitwise_identical = true;
-  {
-    std::vector<double> b(sn_n), x_s(sn_n), x_b(sn_n), work(sn_n);
-    fill_random(b, 11);
-    for (int i = 0; i < kSweep; ++i) {
-      blocked_all_supernodal =
-          blocked_all_supernodal &&
-          blocked_refills[static_cast<std::size_t>(i)]
-              ->refactored_supernodal();
-      la::copy(b, x_s);
-      scalar_refills[static_cast<std::size_t>(i)]->solve_in_place(x_s, work);
-      la::copy(b, x_b);
-      blocked_refills[static_cast<std::size_t>(i)]->solve_in_place(x_b, work);
-      for (std::size_t k = 0; k < sn_n; ++k)
-        blocked_bitwise_identical =
-            blocked_bitwise_identical && x_s[k] == x_b[k];
-    }
-  }
-  const la::SupernodeStats& sn_stats = sn_symbolic->supernode_stats();
+  // Supernode plan of the sweep's shared analysis -- the plan every
+  // refill above ran on.
+  const la::SupernodeStats& sn_stats = symbolic->supernode_stats();
 
   // ----------------------------------------------- dense solve throughput
   const la::SparseLU& lu_g = *full_factors.front();
@@ -446,20 +384,14 @@ int main(int argc, char** argv) try {
   w.key("refactor_speedup").value(refactor_speedup);
   w.key("refactor_all_accepted").value(all_accepted);
   w.key("solutions_bitwise_identical").value(bitwise_identical);
-  w.key("scalar_refactor_seconds_avg").value(scalar_refactor_seconds);
-  w.key("blocked_refactor_seconds_avg").value(blocked_refactor_seconds);
-  w.key("blocked_vs_scalar_speedup").value(blocked_vs_scalar_speedup);
-  w.key("blocked_all_supernodal").value(blocked_all_supernodal);
-  w.key("blocked_bitwise_identical").value(blocked_bitwise_identical);
   w.end_object();
   w.key("supernodes").begin_object();
-  w.key("mesh_n").value(sn_n);
+  w.key("mesh_n").value(n);
   w.key("count").value(static_cast<long long>(sn_stats.supernodes));
   w.key("max_width").value(static_cast<long long>(sn_stats.max_width));
   w.key("avg_width").value(
-      sn_stats.avg_width(static_cast<la::index_t>(sn_n)));
+      sn_stats.avg_width(static_cast<la::index_t>(n)));
   w.key("padded_fraction").value(sn_stats.padded_fraction());
-  w.key("auto_profitable").value(sn_symbolic->supernodal_profitable());
   w.end_object();
   w.key("solve").begin_object();
   w.key("solves_per_second").value(1.0 / dense_solve_seconds);
@@ -511,18 +443,6 @@ int main(int argc, char** argv) try {
     std::fprintf(stderr,
                  "FAIL: refactorization solutions are not bitwise "
                  "identical to full factorization\n");
-    ++failures;
-  }
-  if (!blocked_all_supernodal) {
-    std::fprintf(stderr,
-                 "FAIL: a kAlways refill did not run the supernodal "
-                 "kernel\n");
-    ++failures;
-  }
-  if (!blocked_bitwise_identical) {
-    std::fprintf(stderr,
-                 "FAIL: blocked refactorization solutions are not bitwise "
-                 "identical to the scalar replay\n");
     ++failures;
   }
   if (span_disabled_allocs != 0) {
@@ -608,7 +528,6 @@ int main(int argc, char** argv) try {
       }
     };
     check_ratio_min("refactor_speedup", refactor_speedup);
-    check_ratio_min("blocked_vs_scalar_speedup", blocked_vs_scalar_speedup);
     check_ratio_max("sparse_rhs_vs_dense_ratio", sparse_vs_dense);
     check_allocs("dense_solve_allocs_per_call", dense_solve_allocs);
     check_allocs("sparse_rhs_allocs_per_call", sparse_solve_allocs);

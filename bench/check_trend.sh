@@ -14,7 +14,7 @@
 #
 # Gated metrics (missing on either side => skipped, so old points stay
 # comparable as new metrics appear):
-#   refactor_speedup, blocked_vs_scalar_speedup      -- may not halve
+#   refactor_speedup                                 -- may not halve
 #   sparse_rhs_vs_dense_ratio                        -- may not double
 #   allocs_per_step, tr_allocs_per_step              -- may not grow by >1
 #   span_disabled_allocs, span_enabled_allocs        -- may not grow by >1
@@ -52,7 +52,6 @@ if [[ -n "$candidate_json" ]]; then
   prev="$(tail -1 "$trend")"
   current="$(jq -c '{
     refactor_speedup: .factorization.refactor_speedup,
-    blocked_vs_scalar_speedup: .factorization.blocked_vs_scalar_speedup,
     sparse_rhs_vs_dense_ratio: .solve.sparse_rhs_vs_dense_ratio,
     allocs_per_step: .arnoldi.allocs_per_step,
     tr_allocs_per_step: .transient.tr_allocs_per_step,
@@ -97,7 +96,6 @@ jq -n -e --argjson prev "$prev" --argjson cur "$current" \
     then ["FAIL: \(key) = \($cur[key]) exceeds the absolute cap \(cap)"]
     else [] end;
   ( gate_min("refactor_speedup")
-  + gate_min("blocked_vs_scalar_speedup")
   + gate_min("campaign_scenarios_per_second")
   + gate_max("sparse_rhs_vs_dense_ratio")
   + gate_allocs("allocs_per_step")

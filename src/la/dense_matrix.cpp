@@ -118,7 +118,7 @@ void supernode_apply_updates(const double* panel, std::size_t ld,
                              double* z) {
   for (std::size_t u = u_start; u < ncols; ++u) {
     const double y = z[u];
-    if (y == 0.0) continue;  // same skip as the scalar replay
+    if (y == 0.0) continue;  // same skip as the full factorization
     const double* col = panel + u * ld;
     for (std::size_t i = u + 1; i < ld; ++i) z[i] -= col[i] * y;
   }

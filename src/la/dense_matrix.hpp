@@ -98,9 +98,9 @@ double max_abs_diff(const DenseMatrix& a, const DenseMatrix& b);
 //
 // Bitwise contract: both kernels apply one source column at a time in
 // ascending order with a fused multiply-subtract per element and skip
-// zero multipliers -- the exact operation sequence of the scalar
-// column-at-a-time replay, which is what keeps the blocked and scalar
-// refactorization results ==-equal.
+// zero multipliers -- the exact operation sequence of the full
+// Gilbert-Peierls factorization, which is what keeps a refill ==-equal
+// to a fresh factorization on every supernode plan.
 
 /// Applies panel columns [u_start, ncols) to the gathered accumulator
 /// `z` (ld entries; z[u] is the multiplier of column u): the fused

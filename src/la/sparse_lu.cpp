@@ -156,7 +156,6 @@ void SymbolicLU::build_supernode_plan(const CscMatrix& a,
   max_workspace_cells_ = 0;
   max_panel_rows_ = 0;
   sn_stats_ = {};
-  blocked_profitable_ = false;
   if (n == 0) return;
 
   const auto l_col = [&](index_t c) {  // L rows incl. the leading diagonal
@@ -390,14 +389,6 @@ void SymbolicLU::build_supernode_plan(const CscMatrix& a,
       loc[static_cast<std::size_t>(
           sn_rows_[static_cast<std::size_t>(rb + di)])] = -1;
   }
-
-  // kAuto engages the blocked kernel when the factor is both merged
-  // enough for the panels to amortize their bookkeeping and large enough
-  // that the scalar replay's scattered access stops being cache-resident
-  // (crossover measured on the mesh PDN benches at ~0.5 MB of panel;
-  // below it the scalar replay wins on locality alone).
-  blocked_profitable_ = sn_stats_.avg_width(n) >= 1.4 &&
-                        sn_stats_.panel_entries >= 64 * 1024;
 }
 
 SparseLU::SparseLU(const CscMatrix& a, SparseLuOptions options) {
@@ -417,26 +408,9 @@ SparseLU::SparseLU(const CscMatrix& a,
               "matrix sparsity pattern does not match the symbolic "
               "analysis (refactorization requires an identical pattern)");
   sym_ = std::move(symbolic);
-  const bool blocked =
-      options.supernodal == SupernodalMode::kAlways ||
-      (options.supernodal == SupernodalMode::kAuto &&
-       sym_->blocked_profitable_);
-  if (blocked && sym_->num_supernodes() > 0) {
-    if (refactor_numeric_blocked(a, options)) {
-      refactored_ = true;
-      supernodal_ = true;
-      span.arg("kernel", "blocked");
-      return;
-    }
-    // Pivot-tolerance trip in the blocked kernel: fall back to the
-    // scalar replay. The replay sees the same values through the same
-    // operation sequence, so it trips on the same column and the full
-    // factorization below takes over; re-running it here keeps the two
-    // kernels' admissibility decisions verifiably identical.
-  }
   if (refactor_numeric(a, options)) {
     refactored_ = true;
-    span.arg("kernel", "scalar");
+    span.arg("kernel", "blocked");
     return;
   }
   // Pivot-tolerance violation: the frozen pivot sequence is numerically
@@ -502,9 +476,9 @@ void SparseLU::factorize_full(const CscMatrix& a,
     // Canonical replay order: pivotal nodes ascending by pivot position
     // (a valid topological order -- L's column graph only has edges
     // toward later pivot positions), not-yet-pivotal rows after them by
-    // original index. The full factorization, the scalar numeric replay,
-    // and the blocked supernodal kernel all accumulate updates in this
-    // one order, which is what makes their results bitwise identical.
+    // original index. The full factorization and the supernodal refill
+    // accumulate updates in this one order on every supernode plan, which
+    // is what makes their results bitwise identical.
     std::sort(xi.begin() + top, xi.begin() + n_, [&](index_t lhs,
                                                      index_t rhs) {
       const index_t pl = pinv_[static_cast<std::size_t>(lhs)];
@@ -583,7 +557,7 @@ void SparseLU::factorize_full(const CscMatrix& a,
   // along). Numerically free -- updates from one source column scatter to
   // distinct destinations, so their order never affects rounding -- and
   // it gives the supernode plan sorted row lists to merge and the
-  // blocked kernel prefix-structured diagonal blocks.
+  // refill prefix-structured diagonal blocks.
   {
     std::vector<std::pair<index_t, double>> entries;
     for (index_t k = 0; k < n_; ++k) {
@@ -611,85 +585,6 @@ void SparseLU::factorize_full(const CscMatrix& a,
   sym->build_supernode_plan(a, options);
   sym_ = std::move(sym);
   refactored_ = false;
-}
-
-bool SparseLU::refactor_numeric(const CscMatrix& a,
-                                const SparseLuOptions& options) {
-  MATEX_CHECK(options.refactor_pivot_tol > 0.0 &&
-                  options.refactor_pivot_tol <= 1.0,
-              "refactor_pivot_tol must be in (0, 1]");
-  const SymbolicLU& s = *sym_;
-  const index_t n_ = s.n_;
-  const std::size_t n = static_cast<std::size_t>(n_);
-  l_vals_.assign(s.l_rows_.size(), 0.0);
-  u_vals_.assign(s.u_rows_.size(), 0.0);
-  std::vector<double> x(n, 0.0);
-  min_pivot_ = std::numeric_limits<double>::infinity();
-
-  for (index_t k = 0; k < n_; ++k) {
-    const index_t col = s.q_[static_cast<std::size_t>(k)];
-
-    // Scatter A(:, col) into pivot coordinates. Every entry lands inside
-    // the union pattern of this L/U column (the pattern check in the
-    // constructor guarantees it).
-    for (index_t pa = a.col_ptr()[col]; pa < a.col_ptr()[col + 1]; ++pa)
-      x[static_cast<std::size_t>(
-          s.pinv_[static_cast<std::size_t>(a.row_idx()[pa])])] =
-          a.values()[pa];
-
-    // Replay x = L \ A(:, col) along the stored U pattern. The entries
-    // are stored in the topological order of the original reach, so every
-    // x[j] is final when read -- the exact operation sequence of the full
-    // factorization, which is what makes same-values refactorization
-    // bitwise identical.
-    const index_t u_begin = s.u_colptr_[static_cast<std::size_t>(k)];
-    const index_t u_diag = s.u_colptr_[static_cast<std::size_t>(k) + 1] - 1;
-    for (index_t p = u_begin; p < u_diag; ++p) {
-      const index_t j = s.u_rows_[static_cast<std::size_t>(p)];
-      const double xj = x[static_cast<std::size_t>(j)];
-      u_vals_[static_cast<std::size_t>(p)] = xj;
-      if (xj == 0.0) continue;
-      for (index_t pl = s.l_colptr_[static_cast<std::size_t>(j)] + 1;
-           pl < s.l_colptr_[static_cast<std::size_t>(j) + 1]; ++pl)
-        x[static_cast<std::size_t>(
-            s.l_rows_[static_cast<std::size_t>(pl)])] -=
-            l_vals_[static_cast<std::size_t>(pl)] * xj;
-    }
-
-    // Frozen pivot admissibility: compare against the rows the original
-    // pivot search chose from (the pivot itself plus this column's L
-    // rows).
-    const index_t l_begin = s.l_colptr_[static_cast<std::size_t>(k)];
-    const index_t l_end = s.l_colptr_[static_cast<std::size_t>(k) + 1];
-    const double pivot = x[static_cast<std::size_t>(k)];
-    double amax = std::abs(pivot);
-    for (index_t pl = l_begin + 1; pl < l_end; ++pl)
-      amax = std::max(amax, std::abs(x[static_cast<std::size_t>(
-                                s.l_rows_[static_cast<std::size_t>(pl)])]));
-    if (!(std::abs(pivot) >= options.refactor_pivot_tol * amax) ||
-        pivot == 0.0)
-      return false;  // includes the all-zero column (amax == 0) case
-    min_pivot_ = std::min(min_pivot_, std::abs(pivot));
-
-    u_vals_[static_cast<std::size_t>(u_diag)] = pivot;
-    l_vals_[static_cast<std::size_t>(l_begin)] = 1.0;
-    for (index_t pl = l_begin + 1; pl < l_end; ++pl) {
-      const index_t i = s.l_rows_[static_cast<std::size_t>(pl)];
-      l_vals_[static_cast<std::size_t>(pl)] =
-          x[static_cast<std::size_t>(i)] / pivot;
-      x[static_cast<std::size_t>(i)] = 0.0;
-    }
-    for (index_t p = u_begin; p <= u_diag; ++p)
-      x[static_cast<std::size_t>(s.u_rows_[static_cast<std::size_t>(p)])] =
-          0.0;
-  }
-
-  fill_ratio_ = a.nnz() == 0
-                    ? 0.0
-                    : static_cast<double>(s.l_rows_.size() +
-                                          s.u_rows_.size()) /
-                          static_cast<double>(a.nnz());
-  return true;
 }
 
 bool SparseLU::refill_supernode(const CscMatrix& a,
@@ -811,8 +706,8 @@ bool SparseLU::refill_supernode(const CscMatrix& a,
   return true;
 }
 
-bool SparseLU::refactor_numeric_blocked(const CscMatrix& a,
-                                        const SparseLuOptions& options) {
+bool SparseLU::refactor_numeric(const CscMatrix& a,
+                                const SparseLuOptions& options) {
   MATEX_CHECK(options.refactor_pivot_tol > 0.0 &&
                   options.refactor_pivot_tol <= 1.0,
               "refactor_pivot_tol must be in (0, 1]");
@@ -899,52 +794,6 @@ void SparseLU::solve_in_place(std::span<double> b,
 std::vector<double> SparseLU::solve(std::span<const double> b) const {
   std::vector<double> x(b.begin(), b.end());
   solve_in_place(x);
-  return x;
-}
-
-void SparseLU::solve_transpose(std::span<const double> b, std::span<double> x,
-                               std::span<double> work) const {
-  const SymbolicLU& s = *sym_;
-  const index_t n_ = s.n_;
-  MATEX_CHECK(b.size() == static_cast<std::size_t>(n_));
-  MATEX_CHECK(x.size() == static_cast<std::size_t>(n_));
-  MATEX_CHECK(work.size() == static_cast<std::size_t>(n_));
-  auto& w = work;
-  // A' = Q U' L' P, so solve U' w = Q'b, then L' v = w, then x = P' v.
-  for (index_t k = 0; k < n_; ++k)
-    w[static_cast<std::size_t>(k)] =
-        b[static_cast<std::size_t>(s.q_[static_cast<std::size_t>(k)])];
-  // U' is lower triangular: forward substitution over columns of U.
-  for (index_t j = 0; j < n_; ++j) {
-    const index_t pend = s.u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
-    double sum = w[static_cast<std::size_t>(j)];
-    for (index_t p = s.u_colptr_[static_cast<std::size_t>(j)]; p < pend; ++p)
-      sum -= u_vals_[static_cast<std::size_t>(p)] *
-             w[static_cast<std::size_t>(
-                 s.u_rows_[static_cast<std::size_t>(p)])];
-    w[static_cast<std::size_t>(j)] =
-        sum / u_vals_[static_cast<std::size_t>(pend)];
-  }
-  // L' is upper triangular with unit diagonal: backward substitution.
-  for (index_t j = n_; j-- > 0;) {
-    double sum = w[static_cast<std::size_t>(j)];
-    for (index_t p = s.l_colptr_[static_cast<std::size_t>(j)] + 1;
-         p < s.l_colptr_[static_cast<std::size_t>(j) + 1]; ++p)
-      sum -= l_vals_[static_cast<std::size_t>(p)] *
-             w[static_cast<std::size_t>(
-                 s.l_rows_[static_cast<std::size_t>(p)])];
-    w[static_cast<std::size_t>(j)] = sum;
-  }
-  for (index_t i = 0; i < n_; ++i)
-    x[static_cast<std::size_t>(i)] =
-        w[static_cast<std::size_t>(s.pinv_[static_cast<std::size_t>(i)])];
-}
-
-std::vector<double> SparseLU::solve_transpose(
-    std::span<const double> b) const {
-  const std::size_t n = static_cast<std::size_t>(order());
-  std::vector<double> x(n), work(n);
-  solve_transpose(b, x, work);
   return x;
 }
 

@@ -10,28 +10,24 @@
 /// The factorization is split in two phases:
 ///
 ///  - SymbolicLU: the value-independent part -- fill-reducing ordering,
-///    pivot sequence, and the per-column nonzero patterns of L and U in
-///    topological (replayable) order. A gamma/Vdd sweep over one mesh
+///    pivot sequence, the per-column nonzero patterns of L and U, and a
+///    *supernode* plan: runs of adjacent columns whose L reaches chain and
+///    whose U patterns agree modulo the diagonal, merged greedily under a
+///    relaxed-amalgamation threshold. A gamma/Vdd sweep over one mesh
 ///    produces matrices with identical sparsity patterns, so one symbolic
 ///    analysis serves the whole campaign.
 ///  - numeric refactorization: SparseLU(a, symbolic, options) re-fills the
-///    values along the cached pattern in a single allocation-light pass
-///    with no depth-first search and no pivot search. When the frozen
-///    pivot sequence hits a pivot-tolerance violation on the new values,
-///    the constructor transparently falls back to a full pivoting
-///    factorization (observable via refactored()).
+///    values supernode by supernode with dense rank-k panel updates
+///    (kernels in dense_matrix.hpp) -- no depth-first search and no pivot
+///    search. It is the one refill kernel; an all-singleton plan
+///    (amalg_max_width = 1) runs it column by column. Every plan executes
+///    the full factorization's floating-point operation sequence, so the
+///    refill compares equal under == to a fresh factorization that picks
+///    the same pivots. When the frozen pivot sequence hits a
+///    pivot-tolerance violation on the new values, the constructor falls
+///    back to a full pivoting factorization (observable via refactored()).
 ///
-/// The analysis additionally partitions the pivot columns into
-/// *supernodes* -- runs of adjacent columns whose L reaches chain and
-/// whose U patterns agree modulo the diagonal, merged greedily under a
-/// relaxed-amalgamation threshold -- and the numeric refactorization can
-/// then refill whole supernode panels with dense rank-k updates
-/// (refactor kernels in dense_matrix.hpp) instead of replaying column by
-/// column. Both kernels execute the same floating-point operation
-/// sequence, so the blocked path is a pure speedup: every factor entry
-/// and solve result compares equal under ==.
-///
-/// Design: symmetric fill-reducing pre-ordering (min degree / RCM),
+/// Design: symmetric fill-reducing pre-ordering (minimum degree),
 /// symbolic reach by depth-first search per column, threshold partial
 /// pivoting with diagonal preference (KLU-style) so the ordering is
 /// respected unless numerics demand otherwise.
@@ -51,17 +47,6 @@ class CancelToken;  // runtime/cancel.hpp
 
 namespace matex::la {
 
-/// Which numeric-refactorization kernel SparseLU(a, symbolic) runs.
-enum class SupernodalMode {
-  /// Blocked kernel when the cached analysis found enough supernode
-  /// structure to pay for the panel bookkeeping; scalar replay otherwise.
-  kAuto,
-  /// Blocked kernel whenever the analysis carries a supernode plan.
-  kAlways,
-  /// Scalar column-at-a-time replay only.
-  kNever,
-};
-
 /// Options controlling the factorization.
 struct SparseLuOptions {
   /// Fill-reducing ordering applied symmetrically to rows and columns.
@@ -75,10 +60,6 @@ struct SparseLuOptions {
   /// rows the original pivot search chose from). A violation triggers the
   /// full-pivoting fallback.
   double refactor_pivot_tol = 1e-6;
-  /// Refactorization kernel selection (see SupernodalMode). Acts at
-  /// refactorization time; both kernels produce results that compare
-  /// equal under == (see refactored_supernodal()).
-  SupernodalMode supernodal = SupernodalMode::kAuto;
   /// Relaxed-amalgamation threshold, applied at analysis time: adjacent
   /// pivot columns merge into one supernode while the dense panel cells
   /// not backed by an exact L/U entry stay within this fraction of the
@@ -86,8 +67,9 @@ struct SparseLuOptions {
   /// U patterns and chained L reaches); must be >= 0.
   double amalg_relax = 0.15;
   /// Maximum supernode width (panel columns); bounds the dense workspace.
+  /// 1 gives the all-singleton plan (a column-at-a-time refill).
   index_t amalg_max_width = 32;
-  /// When non-null, the blocked refill polls this token once per
+  /// When non-null, the numeric refill polls this token once per
   /// supernode, so a fired token unwinds the factorization with
   /// CancelledError within one solver step. Not retained.
   const runtime::CancelToken* cancel = nullptr;
@@ -153,17 +135,13 @@ class SymbolicLU {
            vec(task_u0_) + vec(task_dst_ptr_) + vec(task_dst_) +
            vec(a_scatter_) + vec(u_local_) + vec(l_panel_) + vec(sn_a_ptr_);
   }
-  /// True when SupernodalMode::kAuto engages the blocked kernel: enough
-  /// columns merged into multi-column panels to pay for the panel
-  /// gather/scatter bookkeeping.
-  bool supernodal_profitable() const { return blocked_profitable_; }
 
  private:
   friend class SparseLU;
 
   /// Builds the supernode partition and the per-supernode update tasks
   /// from the completed (canonically sorted) L/U patterns, resolving
-  /// every scatter destination of the blocked kernel to a local
+  /// every scatter destination of the numeric refill to a local
   /// workspace index up front. Called once at the end of the full
   /// factorization; value-independent, so one plan serves every numeric
   /// refactorization sharing this analysis (`a` contributes only its
@@ -178,9 +156,9 @@ class SymbolicLU {
   // ascending pivot position. U: upper triangular in pivot-position row
   // indices; the diagonal is stored last in each column, preceded by the
   // off-diagonal entries in ascending pivot position -- the canonical
-  // replay order shared by the full factorization, the scalar numeric
-  // replay, and the blocked supernodal kernel (what makes all three
-  // produce identical floating-point operation sequences).
+  // replay order shared by the full factorization and the supernodal
+  // refill (what makes both produce identical floating-point operation
+  // sequences on every plan).
   std::vector<index_t> l_colptr_, l_rows_;
   std::vector<index_t> u_colptr_, u_rows_;
   std::vector<index_t> pinv_;  // original row index -> pivot position
@@ -228,7 +206,6 @@ class SymbolicLU {
   index_t max_workspace_cells_ = 0;  ///< max (ne + rows + 1) * width
   index_t max_panel_rows_ = 0;       ///< tallest panel (gather scratch size)
   SupernodeStats sn_stats_;
-  bool blocked_profitable_ = false;
 };
 
 /// Reusable scratch for the sparse-right-hand-side solve (reach stacks,
@@ -273,14 +250,6 @@ class SparseLU {
   /// path (no pivot-tolerance violation).
   bool refactored() const { return refactored_; }
 
-  /// True if the numeric refill ran the blocked supernodal kernel (dense
-  /// panel updates on the cached supernode plan) rather than the scalar
-  /// column-at-a-time replay. Both kernels execute the same per-entry
-  /// floating-point operation sequence, so every factor entry and solve
-  /// result compares equal under == (the blocked path may flip the sign
-  /// of exact zeros via padded panel cells, which == ignores).
-  bool refactored_supernodal() const { return supernodal_; }
-
   /// The shared symbolic analysis (never null).
   const std::shared_ptr<const SymbolicLU>& symbolic() const { return sym_; }
 
@@ -296,15 +265,6 @@ class SparseLU {
 
   /// Solves A x = b.
   std::vector<double> solve(std::span<const double> b) const;
-
-  /// Solves A' x = b (transpose solve) into `x` using caller-owned
-  /// scratch; allocation-free. `x` and `work` must have order() elements;
-  /// `b` may not alias `work`.
-  void solve_transpose(std::span<const double> b, std::span<double> x,
-                       std::span<double> work) const;
-
-  /// Solves A' x = b (allocating convenience wrapper).
-  std::vector<double> solve_transpose(std::span<const double> b) const;
 
   /// Sparse-right-hand-side solve: A x = b where b is given as nonzero
   /// coordinates `rhs_rows` / `rhs_vals` (indices need not be sorted but
@@ -350,16 +310,12 @@ class SparseLU {
  private:
   /// Full Gilbert-Peierls factorization (symbolic + numeric).
   void factorize_full(const CscMatrix& a, const SparseLuOptions& options);
-  /// Numeric-only refill along sym_'s pattern. Returns false on a
-  /// pivot-tolerance violation (values are then unspecified).
+  /// Numeric-only refill along sym_'s supernode plan: dense rank-k panel
+  /// updates. Returns false on a pivot-tolerance violation (values are
+  /// then unspecified); throws CancelledError when options.cancel fires
+  /// mid-refill.
   bool refactor_numeric(const CscMatrix& a, const SparseLuOptions& options);
-  /// Blocked supernodal refill along sym_'s supernode plan: dense
-  /// rank-k panel updates instead of per-entry scatter. Same return
-  /// contract as refactor_numeric; throws CancelledError when
-  /// options.cancel fires mid-refill.
-  bool refactor_numeric_blocked(const CscMatrix& a,
-                                const SparseLuOptions& options);
-  /// One supernode of the blocked refill: scatter A, apply the external
+  /// One supernode of the refill: scatter A, apply the external
   /// update tasks in ascending source order, factorize the panel, write
   /// the factor values. `wbuf`/`z` are caller-owned scratch
   /// (max_workspace_cells_ / max_panel_rows_ doubles); `min_pivot`
@@ -375,7 +331,6 @@ class SparseLU {
   double fill_ratio_ = 0.0;
   double min_pivot_ = 0.0;
   bool refactored_ = false;
-  bool supernodal_ = false;
 };
 
 }  // namespace matex::la

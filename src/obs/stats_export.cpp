@@ -12,7 +12,6 @@ void write_transient_stats(solver::JsonWriter& w,
   w.key("solves").value(s.solves);
   w.key("factorizations").value(s.factorizations);
   w.key("refactorizations").value(s.refactorizations);
-  w.key("supernodal_refactorizations").value(s.supernodal_refactorizations);
   w.key("krylov_subspaces").value(s.krylov_subspaces);
   w.key("krylov_dim_avg").value(s.krylov_dim_avg());
   w.key("krylov_dim_peak").value(s.krylov_dim_peak);
@@ -27,7 +26,6 @@ void write_factor_cache_stats(solver::JsonWriter& w,
   w.key("hit_rate").value(s.hit_rate());
   w.key("symbolic_hits").value(s.symbolic_hits);
   w.key("refactor_fallbacks").value(s.refactor_fallbacks);
-  w.key("supernodal_refactors").value(s.supernodal_refactors);
   w.key("factor_errors").value(s.factor_errors);
   w.key("factor_cancellations").value(s.factor_cancellations);
   w.key("evictions").value(s.evictions);

@@ -412,8 +412,6 @@ BatchReport BatchEngine::run(std::span<const ScenarioSpec> scenarios,
       cache_after.symbolic_hits - cache_before.symbolic_hits;
   report.cache.refactor_fallbacks =
       cache_after.refactor_fallbacks - cache_before.refactor_fallbacks;
-  report.cache.supernodal_refactors =
-      cache_after.supernodal_refactors - cache_before.supernodal_refactors;
   report.cache.factor_seconds =
       cache_after.factor_seconds - cache_before.factor_seconds;
   // bytes_resident is a level, not a counter: report the end-of-run

@@ -83,7 +83,9 @@ std::uint64_t scenario_fingerprint(const ScenarioSpec& spec,
   fnv_u64(h, static_cast<std::uint64_t>(lu.ordering));
   fnv_double(h, lu.pivot_tol);
   fnv_double(h, lu.refactor_pivot_tol);
-  fnv_u64(h, static_cast<std::uint64_t>(lu.supernodal));
+  // The value every scenario held for the retired refill-kernel selector
+  // (automatic choice): existing journals and stores stay valid.
+  fnv_u64(h, 0);
   fnv_double(h, lu.amalg_relax);
   fnv_u64(h, static_cast<std::uint64_t>(lu.amalg_max_width));
   return h;

@@ -110,7 +110,6 @@ std::shared_ptr<la::SparseLU> FactorCache::factorize_with_symbolic(
   const core::MutexLock lock(mutex_);
   if (lu->refactored()) {
     ++stats_.symbolic_hits;
-    if (lu->refactored_supernodal()) ++stats_.supernodal_refactors;
     return lu;
   }
   if (had_symbolic) ++stats_.refactor_fallbacks;

@@ -78,9 +78,6 @@ struct FactorCacheStats {
   /// Symbolic-cache hits whose numeric refactorization violated the
   /// pivot tolerance and fell back to a full pivoting factorization.
   long long refactor_fallbacks = 0;
-  /// Symbolic hits whose refill ran the blocked supernodal kernel
-  /// (subset of symbolic_hits; the rest replayed column-at-a-time).
-  long long supernodal_refactors = 0;
   /// Leader factorizations that threw a non-cancellation error (the
   /// classified kind is traced as cache.factor_error and the exception
   /// rethrown; the slot is removed so a retry factorizes afresh).

@@ -83,9 +83,11 @@ struct CampaignSweep {
   std::vector<double> gammas = {};
   std::vector<double> tolerances = {};
   std::vector<double> vdd_scales = {1.0};
-  /// Base configuration: window, output grid, decomposition bound,
-  /// parallelism. Solver kind/gamma/tolerance are overwritten per
-  /// scenario.
+  /// Base configuration: window, output grid, decomposition bound.
+  /// Solver kind/gamma/tolerance are overwritten per scenario. Its
+  /// `parallelism` has no effect in a batch: the engine runs every
+  /// scenario on its own pool, so that pool's size (BatchOptions::threads,
+  /// or the caller's BatchOptions::pool) sets how many nodes run at once.
   core::SchedulerOptions base;
   /// Probes applied to every scenario.
   std::vector<la::index_t> probes;

@@ -97,10 +97,7 @@ TransientStats run_fixed_step(const circuit::MnaSystem& mna,
       rhs_matrix = la::add_scaled(
           a, c, method == StepMethod::kTrapezoidal ? -0.5 : 0.0, g);
       ++stats.factorizations;
-      if (lu->refactored()) {
-        ++stats.refactorizations;
-        if (lu->refactored_supernodal()) ++stats.supernodal_refactorizations;
-      }
+      if (lu->refactored()) ++stats.refactorizations;
     }
     switch (method) {
       case StepMethod::kTrapezoidal: {

@@ -35,8 +35,6 @@ struct TransientStats {
   long long factorizations = 0;   ///< LU decompositions performed
   long long refactorizations = 0; ///< numeric-only pattern-reusing LUs
                                   ///< (subset of factorizations)
-  long long supernodal_refactorizations = 0;  ///< refactorizations served
-                                              ///< by the blocked kernel
   long long solves = 0;           ///< pairs of fwd/bwd substitutions
   long long krylov_subspaces = 0; ///< Krylov subspaces generated
   long long krylov_dim_total = 0; ///< sum of converged dimensions
@@ -59,7 +57,6 @@ struct TransientStats {
     rejected_steps += other.rejected_steps;
     factorizations += other.factorizations;
     refactorizations += other.refactorizations;
-    supernodal_refactorizations += other.supernodal_refactorizations;
     solves += other.solves;
     krylov_subspaces += other.krylov_subspaces;
     krylov_dim_total += other.krylov_dim_total;

@@ -98,10 +98,7 @@ TransientStats run_adaptive_trapezoidal(const circuit::MnaSystem& mna,
     if (lu) {
       lu = std::make_unique<la::SparseLU>(sys, lu->symbolic(),
                                           options.lu_options);
-      if (lu->refactored()) {
-        ++stats.refactorizations;
-        if (lu->refactored_supernodal()) ++stats.supernodal_refactorizations;
-      }
+      if (lu->refactored()) ++stats.refactorizations;
     } else {
       lu = std::make_unique<la::SparseLU>(sys, options.lu_options);
     }

@@ -755,9 +755,7 @@ BatchFuzzReport run_batch_fuzz(const BatchFuzzOptions& options) {
                  << report.failures << " failures, cache hits "
                  << report.cache.hits << "/" << (report.cache.hits +
                                                  report.cache.misses)
-                 << ", symbolic hits " << report.cache.symbolic_hits
-                 << " (supernodal " << report.cache.supernodal_refactors
-                 << ")\n";
+                 << ", symbolic hits " << report.cache.symbolic_hits << "\n";
   return report;
 }
 

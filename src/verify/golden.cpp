@@ -142,9 +142,9 @@ std::vector<GoldenScenario> standard_golden_suite() {
       // whose step-size changes drive the numeric-refill path on every
       // re-factorization. The tolerance sits just above the golden
       // store's 12-significant-digit round-trip (~5e-12 on volt-scale
-      // samples), far below any physical drift: the supernodal blocked
-      // kernel and the scalar replay must agree to the last stored digit,
-      // and any future change to the refactorization's operation order
+      // samples), far below any physical drift: the supernodal refill and
+      // the full factorization must agree to the last stored digit, and
+      // any future change to the refactorization's operation order
       // trips this gate instead of sliding under the 5e-8 suite gate.
       {"pg_stiff_tradpt", "pg_stiff", "tradpt", 2.5e-11},
   };

@@ -328,7 +328,6 @@ TEST(Cancellation, DeadlineStopsABlockedRefactorRunWithinAStep) {
   opt.t_end = 1000.0;
   opt.h = 1e-4;
   opt.cancel = &token;
-  opt.lu_options.supernodal = la::SupernodalMode::kAlways;
   opt.lu_options.cancel = &token;
   const solver::Stopwatch sw;
   EXPECT_THROW(run_fixed_step(mna, dc.x, solver::StepMethod::kTrapezoidal,

@@ -109,35 +109,6 @@ TEST(SparseLU, GridLaplacianSolveMatchesDense) {
     EXPECT_NEAR(xs[i], xd[i], 1e-9 * (1.0 + std::abs(xd[i])));
 }
 
-TEST(SparseLU, TransposeSolve) {
-  testing::Rng rng(10);
-  const index_t n = 25;
-  // Unsymmetric values on a symmetric pattern.
-  auto a = testing::random_sparse_spd_like(n, 0.2, rng);
-  {
-    auto vals = a.values();
-    for (std::size_t k = 0; k < vals.size(); ++k)
-      vals[k] *= (1.0 + 0.1 * static_cast<double>(k % 7));
-  }
-  // Re-dominate the diagonal so it stays nonsingular.
-  TripletMatrix t(n, n);
-  for (index_t j = 0; j < n; ++j)
-    for (index_t p = a.col_ptr()[j]; p < a.col_ptr()[j + 1]; ++p)
-      t.add(a.row_idx()[p], j, a.values()[p]);
-  for (index_t i = 0; i < n; ++i) t.add(i, i, 20.0);
-  const auto m = t.to_csc();
-
-  const auto b = testing::random_vector(static_cast<std::size_t>(n), rng);
-  const SparseLU lu(m);
-  const auto x = lu.solve_transpose(b);
-  // Check A' x = b via (x' A)' residual.
-  std::vector<double> atx(static_cast<std::size_t>(n));
-  m.multiply_transpose(x, atx);
-  EXPECT_NEAR(max_abs_diff(std::span<const double>(atx),
-                           std::span<const double>(b)),
-              0.0, 1e-10);
-}
-
 TEST(SparseLU, FillStatsPopulated) {
   const auto g = testing::grid_laplacian(10, 10);
   const SparseLU lu(g);
@@ -292,7 +263,6 @@ TEST(SupernodePlan, DiagonalMatrixIsAllSingletons) {
   EXPECT_EQ(s.num_supernodes(), 6);
   EXPECT_EQ(s.supernode_stats().max_width, 1);
   EXPECT_EQ(s.supernode_stats().padded_entries, 0);
-  EXPECT_FALSE(s.supernodal_profitable());
 }
 
 TEST(SupernodePlan, DenseMatrixIsOneSupernode) {
@@ -311,9 +281,6 @@ TEST(SupernodePlan, DenseMatrixIsOneSupernode) {
   EXPECT_EQ(s.num_supernodes(), 1);
   EXPECT_EQ(s.supernode_stats().max_width, n);
   EXPECT_EQ(s.supernode_stats().padded_entries, 0);
-  // Merged, but far too small to leave the scalar replay's cache-resident
-  // regime: kAuto correctly stays scalar (kAlways still runs the panels).
-  EXPECT_FALSE(s.supernodal_profitable());
 }
 
 TEST(SupernodePlan, MaxWidthBoundsThePanels) {
@@ -346,50 +313,55 @@ TEST(SupernodePlan, AmalgamationOffAdmitsOnlyExactMerges) {
   EXPECT_GT(strict_lu.symbolic()->num_supernodes(), 0);
 }
 
-TEST(SupernodalRefactor, BitwiseIdenticalToScalarReplayAcrossMatrices) {
+TEST(SupernodalRefactor, RefillIsPlanIndependentAcrossMatrices) {
+  // The gamma-sweep refill (same pattern, different values) on the
+  // default merged plan and on the all-singleton plan (amalg_max_width =
+  // 1, a column-at-a-time refill) must both reproduce a fresh full
+  // factorization of the new values -- the reference operation order --
+  // under ==.
   testing::Rng rng(41);
   std::vector<CscMatrix> cases;
   cases.push_back(testing::grid_laplacian(10, 12));
   cases.push_back(testing::random_sparse_spd_like(70, 0.12, rng));
   cases.push_back(testing::random_sparse_spd_like(40, 0.3, rng));
+  SparseLuOptions width1_opt;
+  width1_opt.amalg_max_width = 1;
   for (std::size_t ci = 0; ci < cases.size(); ++ci) {
     const CscMatrix& a = cases[ci];
-    const SparseLU fresh(a);
-    // Same pattern, different values: the gamma-sweep refill.
+    const SparseLU merged_fresh(a);
+    const SparseLU width1_fresh(a, width1_opt);
+    ASSERT_EQ(width1_fresh.symbolic()->num_supernodes(), a.rows())
+        << "case " << ci;
+    ASSERT_LT(merged_fresh.symbolic()->num_supernodes(), a.rows())
+        << "case " << ci;
     const auto a2 = with_scaled_values(a, 2.25, 0.75);
-    SparseLuOptions blocked_opt, scalar_opt;
-    blocked_opt.supernodal = SupernodalMode::kAlways;
-    scalar_opt.supernodal = SupernodalMode::kNever;
-    const SparseLU blocked(a2, fresh.symbolic(), blocked_opt);
-    const SparseLU scalar(a2, fresh.symbolic(), scalar_opt);
-    ASSERT_TRUE(blocked.refactored()) << "case " << ci;
-    EXPECT_TRUE(blocked.refactored_supernodal()) << "case " << ci;
-    ASSERT_TRUE(scalar.refactored()) << "case " << ci;
-    EXPECT_FALSE(scalar.refactored_supernodal()) << "case " << ci;
-    EXPECT_EQ(blocked.min_abs_pivot(), scalar.min_abs_pivot())
+    const SparseLU reference(a2);
+    const SparseLU merged(a2, merged_fresh.symbolic());
+    const SparseLU width1(a2, width1_fresh.symbolic(), width1_opt);
+    ASSERT_TRUE(merged.refactored()) << "case " << ci;
+    ASSERT_TRUE(width1.refactored()) << "case " << ci;
+    EXPECT_EQ(merged.min_abs_pivot(), reference.min_abs_pivot())
+        << "case " << ci;
+    EXPECT_EQ(width1.min_abs_pivot(), reference.min_abs_pivot())
         << "case " << ci;
     const auto b = testing::random_vector(
         static_cast<std::size_t>(a.rows()), rng);
-    const auto xb = blocked.solve(b);
-    const auto xs = scalar.solve(b);
-    for (std::size_t i = 0; i < xb.size(); ++i)
-      EXPECT_EQ(xb[i], xs[i]) << "case " << ci << " i " << i;
-    // Transpose solves run off the same factor arrays.
-    const auto tb = blocked.solve_transpose(b);
-    const auto ts = scalar.solve_transpose(b);
-    for (std::size_t i = 0; i < tb.size(); ++i)
-      EXPECT_EQ(tb[i], ts[i]) << "case " << ci << " i " << i;
+    const auto xr = reference.solve(b);
+    const auto xm = merged.solve(b);
+    const auto xw = width1.solve(b);
+    for (std::size_t i = 0; i < xr.size(); ++i) {
+      EXPECT_EQ(xm[i], xr[i]) << "case " << ci << " i " << i;
+      EXPECT_EQ(xw[i], xr[i]) << "case " << ci << " i " << i;
+    }
   }
 }
 
 TEST(SupernodalRefactor, SameValuesRefillMatchesFreshFactorization) {
   testing::Rng rng(42);
   const auto a = testing::grid_laplacian(11, 9);
-  SparseLuOptions opt;
-  opt.supernodal = SupernodalMode::kAlways;
-  const SparseLU fresh(a, opt);
-  const SparseLU refill(a, fresh.symbolic(), opt);
-  EXPECT_TRUE(refill.refactored_supernodal());
+  const SparseLU fresh(a);
+  const SparseLU refill(a, fresh.symbolic());
+  EXPECT_TRUE(refill.refactored());
   EXPECT_EQ(fresh.min_abs_pivot(), refill.min_abs_pivot());
   const auto b = testing::random_vector(
       static_cast<std::size_t>(a.rows()), rng);
@@ -399,10 +371,8 @@ TEST(SupernodalRefactor, SameValuesRefillMatchesFreshFactorization) {
 }
 
 TEST(SupernodalRefactor, PivotViolationFallsBackAndRecovers) {
-  // Same shape as the scalar-replay fallback test, forced through the
-  // blocked kernel: the frozen diagonal pivot trips, the constructor
-  // falls back (blocked -> scalar replay -> full factorization), and the
-  // result still solves.
+  // The frozen diagonal pivot trips inside a panel, the constructor
+  // falls back to a full factorization, and the result still solves.
   TripletMatrix t1(2, 2);
   t1.add(0, 0, 4.0);
   t1.add(0, 1, 1.0);
@@ -414,39 +384,39 @@ TEST(SupernodalRefactor, PivotViolationFallsBackAndRecovers) {
   t2.add(1, 0, 1.0);
   t2.add(1, 1, 1e-13);
   SparseLuOptions opt;
-  opt.supernodal = SupernodalMode::kAlways;
+  opt.amalg_relax = 0.0;  // the dense 2x2 is one exact supernode
   const SparseLU fresh(t1.to_csc(), opt);
+  ASSERT_EQ(fresh.symbolic()->num_supernodes(), 1);
   const auto a2 = t2.to_csc();
   const SparseLU fallback(a2, fresh.symbolic(), opt);
   EXPECT_FALSE(fallback.refactored());
-  EXPECT_FALSE(fallback.refactored_supernodal());
   std::vector<double> b{1.0, 2.0};
   const auto x = fallback.solve(b);
   EXPECT_LE(norm_inf(residual(a2, x, b)), 1e-12);
 }
 
 TEST(SupernodalRefactor, FiredTokenUnwindsTheRefillAndTheFactorsRecover) {
-  // The blocked kernel polls the token once per supernode: a fired token
-  // makes the refill throw CancelledError instead of returning partial
-  // factors, and the same symbolic analysis refills fine once the token
-  // is out of the picture.
+  // The refill polls the token once per supernode: a fired token makes
+  // the refill throw CancelledError instead of returning partial factors,
+  // and the same symbolic analysis refills fine once the token is out of
+  // the picture.
   const auto a = testing::grid_laplacian(10, 10);
-  SparseLuOptions opt;
-  opt.supernodal = SupernodalMode::kAlways;
-  const SparseLU fresh(a, opt);
+  const SparseLU fresh(a);
   runtime::CancelToken token;
   token.cancel();
-  SparseLuOptions cancelled = opt;
+  SparseLuOptions cancelled;
   cancelled.cancel = &token;
   EXPECT_THROW(SparseLU(a, fresh.symbolic(), cancelled), CancelledError);
-  const SparseLU again(a, fresh.symbolic(), opt);
-  EXPECT_TRUE(again.refactored_supernodal());
+  const SparseLU again(a, fresh.symbolic());
+  EXPECT_TRUE(again.refactored());
   EXPECT_EQ(again.min_abs_pivot(), fresh.min_abs_pivot());
 }
 
-TEST(SupernodalRefactor, AutoModeSkipsThinPlans) {
-  // All-singleton plan (tridiagonal): kAuto stays on the scalar replay,
-  // kAlways runs the panels anyway -- and both agree bitwise.
+TEST(SupernodalRefactor, AllSingletonPlanMatchesFreshFactorization) {
+  // Strict amalgamation admits no merge on a tridiagonal matrix (every
+  // merge would pad the panel), so the plan is all singletons: the refill
+  // runs one column per supernode and must still reproduce a fresh
+  // factorization of the new values under ==.
   const index_t n = 30;
   TripletMatrix t(n, n);
   for (index_t i = 0; i < n; ++i) {
@@ -457,32 +427,29 @@ TEST(SupernodalRefactor, AutoModeSkipsThinPlans) {
     }
   }
   const auto a = t.to_csc();
-  const SparseLU fresh(a);
+  SparseLuOptions opt;
+  opt.amalg_relax = 0.0;
+  const SparseLU fresh(a, opt);
+  ASSERT_EQ(fresh.symbolic()->num_supernodes(), n);
   const auto a2 = with_scaled_values(a, 1.5, 0.25);
-  SparseLuOptions auto_opt;  // kAuto default
-  const SparseLU auto_lu(a2, fresh.symbolic(), auto_opt);
-  SparseLuOptions always_opt;
-  always_opt.supernodal = SupernodalMode::kAlways;
-  const SparseLU always_lu(a2, fresh.symbolic(), always_opt);
-  ASSERT_TRUE(auto_lu.refactored());
-  ASSERT_TRUE(always_lu.refactored());
-  EXPECT_TRUE(always_lu.refactored_supernodal());
+  const SparseLU refill(a2, fresh.symbolic(), opt);
+  const SparseLU reference(a2);
+  ASSERT_TRUE(refill.refactored());
+  EXPECT_EQ(refill.min_abs_pivot(), reference.min_abs_pivot());
   testing::Rng rng(43);
   const auto b = testing::random_vector(static_cast<std::size_t>(n), rng);
-  const auto x1 = auto_lu.solve(b);
-  const auto x2 = always_lu.solve(b);
+  const auto x1 = refill.solve(b);
+  const auto x2 = reference.solve(b);
   for (std::size_t i = 0; i < x1.size(); ++i) EXPECT_EQ(x1[i], x2[i]);
 }
 
-TEST(SupernodalRefactor, SparseRhsSolveAgreesWithScalarFactors) {
+TEST(SupernodalRefactor, SparseRhsSolveAgreesWithDenseSolveOnRefill) {
   testing::Rng rng(44);
   const auto a = testing::grid_laplacian(8, 9);
   const SparseLU fresh(a);
   const auto a2 = with_scaled_values(a, 3.0, 0.5);
-  SparseLuOptions blocked_opt;
-  blocked_opt.supernodal = SupernodalMode::kAlways;
-  const SparseLU blocked(a2, fresh.symbolic(), blocked_opt);
-  ASSERT_TRUE(blocked.refactored_supernodal());
+  const SparseLU blocked(a2, fresh.symbolic());
+  ASSERT_TRUE(blocked.refactored());
   const index_t n = a.rows();
   SparseRhsWorkspace ws(n);
   std::vector<double> x(static_cast<std::size_t>(n), 0.0);
@@ -559,17 +526,6 @@ TEST(SparseRhsSolve, RepeatedCallsReuseWorkspace) {
     for (std::size_t j = 0; j < x_ref.size(); ++j) EXPECT_EQ(x[j], x_ref[j]);
     for (const index_t j : pattern) x[static_cast<std::size_t>(j)] = 0.0;
   }
-}
-
-TEST(SparseLU, TransposeWorkspaceOverloadMatches) {
-  testing::Rng rng(37);
-  const auto a = testing::random_sparse_spd_like(25, 0.2, rng);
-  const SparseLU lu(a);
-  const auto b = testing::random_vector(25, rng);
-  const auto x_alloc = lu.solve_transpose(b);
-  std::vector<double> x(25), work(25);
-  lu.solve_transpose(b, x, work);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], x_alloc[i]);
 }
 
 struct LuParam {

@@ -193,20 +193,18 @@ TEST(FactorCache, SymbolicAnalysisSharedAcrossSamePatternValues) {
 }
 
 TEST(FactorCache, CountsSupernodalRefills) {
-  // The cache threads SparseLuOptions through to the refill, so a
-  // same-pattern second request pinned to the blocked kernel shows up in
-  // stats().supernodal_refactors.
+  // A same-pattern second request refills along the cached analysis and
+  // shows up in stats().symbolic_hits.
   const auto a = testing::grid_laplacian(10, 12);
   const auto a2 = with_same_pattern_values(a, 2.0);
-  la::SparseLuOptions opt;
-  opt.supernodal = la::SupernodalMode::kAlways;
+  const la::SparseLuOptions opt;
   FactorCache cache;
   cache.g_factors(a, opt);   // miss: full factorization, caches symbolic
-  cache.g_factors(a2, opt);  // same pattern: blocked refill
+  cache.g_factors(a2, opt);  // same pattern: numeric refill
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 2);
   EXPECT_EQ(stats.symbolic_hits, 1);
-  EXPECT_EQ(stats.supernodal_refactors, 1);
+  EXPECT_EQ(stats.refactor_fallbacks, 0);
   EXPECT_EQ(stats.factor_errors, 0);
   EXPECT_EQ(stats.factor_cancellations, 0);
 }

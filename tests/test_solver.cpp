@@ -510,12 +510,11 @@ TEST(AdaptiveTr, StretchedStepsRespectHmax) {
   EXPECT_TRUE(found) << "missing transition spot";
 }
 
-TEST(AdaptiveTr, SupernodalRefactorMatchesScalarAndIsCounted) {
+TEST(AdaptiveTr, RefactorTrajectoryIsPlanIndependent) {
   // Step-size changes refactorize C/h + G/2 along one cached analysis;
-  // with the kernel pinned to kAlways vs kNever the trajectories must
-  // agree sample-for-sample (the blocked kernel replays the identical
-  // operation sequence) and the supernodal counter must attribute every
-  // refactorization to the panels.
+  // on the default merged supernode plan and on the all-singleton plan
+  // (amalg_max_width = 1) the trajectories must agree sample-for-sample,
+  // since every plan replays the identical operation sequence.
   Netlist n;
   n.add_voltage_source("V1", "a", "0", Waveform::dc(1.0));
   n.add_resistor("R1", "a", "b", 1.0);
@@ -538,9 +537,8 @@ TEST(AdaptiveTr, SupernodalRefactorMatchesScalarAndIsCounted) {
   blocked.t_end = 3.0;
   blocked.h_init = 1e-3;
   blocked.lte_tol = 1e-5;
-  blocked.lu_options.supernodal = la::SupernodalMode::kAlways;
   AdaptiveTrOptions scalar = blocked;
-  scalar.lu_options.supernodal = la::SupernodalMode::kNever;
+  scalar.lu_options.amalg_max_width = 1;
 
   ProbeRecorder rec_b({0, 1});
   auto obs_b = rec_b.observer();
@@ -550,8 +548,7 @@ TEST(AdaptiveTr, SupernodalRefactorMatchesScalarAndIsCounted) {
   const auto st_s = run_adaptive_trapezoidal(mna, dc.x, scalar, obs_s);
 
   ASSERT_GT(st_b.refactorizations, 0);
-  EXPECT_EQ(st_b.supernodal_refactorizations, st_b.refactorizations);
-  EXPECT_EQ(st_s.supernodal_refactorizations, 0);
+  EXPECT_EQ(st_b.refactorizations, st_s.refactorizations);
   EXPECT_EQ(st_b.steps, st_s.steps);
   ASSERT_EQ(rec_b.times().size(), rec_s.times().size());
   for (std::size_t p = 0; p < 2; ++p) {
